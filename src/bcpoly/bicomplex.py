@@ -105,8 +105,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
@@ -189,7 +189,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its real part, so it hashes like it
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return not self.is_zero()
@@ -260,6 +261,10 @@ class Hyperbolic:
 
     def to_bicomplex(self) -> "Bicomplex":
         return Bicomplex(GaussianRational(self.x_plus), GaussianRational(self.x_minus))
+
+    def __hash__(self):
+        # a Bicomplex compares equal to it, so it hashes like one
+        return hash(self.to_bicomplex())
 
     def __str__(self):
         return str(self.to_bicomplex())
@@ -410,7 +415,8 @@ class Bicomplex:
         return self.alpha == other.alpha and self.beta == other.beta
 
     def __hash__(self):
-        return hash((self.alpha, self.beta))
+        # a value with alpha == beta equals the scalar alpha, so it hashes like it
+        return hash(self.alpha) if self.alpha == self.beta else hash((self.alpha, self.beta))
 
     def __bool__(self):
         return not self.is_zero()

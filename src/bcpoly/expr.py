@@ -5,7 +5,7 @@ Grammar (whitespace-insensitive)::
     input  := expr ('|' expr)?            -- 'P | M' combines components
     expr   := term (('+' | '-') term)*
     term   := unary (('*' unary) | ('/' INT))*
-    unary  := '-' unary | power
+    unary  := '-'* power
     power  := atom ('^' INT)?
     atom   := INT | 'i' | 'j' | 'k' | 'e+' | 'e-' | 'Z'
             | 'a' | 'ac' | 'b' | 'bc'      -- raw idempotent mode only
@@ -18,7 +18,9 @@ exponents are nonnegative integers, so every expression denotes a polynomial
 function.  In raw idempotent mode the tokens a, ac, b, bc denote the four
 idempotent variables placed in both components, which is how componentwise
 formulas are entered verbatim.  As input sugar an integer immediately
-followed by i, j or k multiplies it (``2i`` is ``2*i``).
+followed by i, j or k multiplies it (``2i`` is ``2*i``).  Parentheses and
+calls nest at most ``MAX_NESTING`` deep; sums, products and runs of unary
+minus signs have no length limit.
 
 The canonical text for a function is ``plus-poly | minus-poly`` with
 monomials in ascending lexicographic exponent order; parsing the canonical
@@ -29,14 +31,17 @@ bit-exact round trips over the same sorted term lists.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from typing import Union
+from math import lcm
+from typing import NamedTuple, Union
 
 from .bicomplex import Bicomplex, BicomplexError, GaussianRational
 from .bicomplex import E_MINUS, E_PLUS, I, J, K
 from .bicomplex import _join_terms
 from .operators import Operator
 from .polyfun import BicomplexFunction, Poly4
+from .polyfun import _ZERO_MONO, _from_integer_form, _integer_form, _mul_nums, _pow_form
 
 __all__ = [
     "ExprSyntaxError",
@@ -52,6 +57,7 @@ __all__ = [
     "operator_to_json_obj",
     "operator_from_json_obj",
     "VAR_NAMES",
+    "MAX_NESTING",
 ]
 
 VAR_NAMES = ("a", "ac", "b", "bc")
@@ -79,47 +85,33 @@ class JsonFormatError(BicomplexError):
 _SYMBOLS = {"+", "-", "*", "/", "^", "(", ")", "|"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'int', 'name', one of the symbols, or 'eof'
     value: Union[int, str, None]
     pos: int
 
 
+# an integer, a name (e+ and e- included), or any other non-space character
+_LEXEME = re.compile(r"\s*(?:(\d+)|(e[+-]|[^\W\d_]+)|(\S))")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("int", int(text[start:i]), start))
-            if i < n and text[i] in "ijk":  # sugar: 2i means 2*i
-                tokens.append(_Token("*", "*", i))
-            continue
-        if c.isalpha():
-            start = i
-            while i < n and text[i].isalpha():
-                i += 1
-            word = text[start:i]
-            if word == "e" and i < n and text[i] in "+-":
-                word += text[i]
-                i += 1
+    for match in _LEXEME.finditer(text):
+        digits, word, char = match.groups()
+        if digits is not None:
+            tokens.append(_Token("int", int(digits), match.start(1)))
+            if text[match.end():match.end() + 1] in ("i", "j", "k"):  # sugar: 2i means 2*i
+                tokens.append(_Token("*", "*", match.end()))
+        elif word is not None:
             if word not in _WORDS:
-                raise ExprSyntaxError(f"unknown name {word!r}", start)
-            tokens.append(_Token("name", word, start))
-            continue
-        if c in _SYMBOLS:
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("eof", None, n))
+                raise ExprSyntaxError(f"unknown name {word!r}", match.start(2))
+            tokens.append(_Token("name", word, match.start(2)))
+        elif char in _SYMBOLS:
+            tokens.append(_Token(char, char, match.start(3)))
+        else:
+            raise ExprSyntaxError(f"unexpected character {char!r}", match.start(3))
+    tokens.append(_Token("eof", None, len(text)))
     return tokens
 
 
@@ -146,21 +138,15 @@ class RawVar:
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: object
+class Sum:
+    terms: tuple  # (sign, node) pairs, sign +1 or -1
 
 
 @dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*'
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class RatDiv:
-    operand: object
-    divisor: int
+class Product:
+    factors: tuple
+    sign: int  # +1 or -1, from the unary minus signs of the factors
+    divisor: int  # product of the '/ INT' divisors
 
 
 @dataclass(frozen=True)
@@ -181,11 +167,18 @@ class Pair:
     right: object
 
 
+# Parentheses and function calls open at once.  The parser and the lowering
+# recurse only along this nesting, so the cap keeps both far inside Python's
+# recursion limit; a sum or product of any length is walked by loops.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], raw: bool):
         self.tokens = tokens
         self.raw = raw
         self.index = 0
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -214,29 +207,36 @@ class _Parser:
         return node
 
     def parse_expr(self):
-        node = self.parse_term()
+        terms = [(1, self.parse_term())]
         while self.current.kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.parse_term())
-        return node
+            sign = 1 if self.advance().kind == "+" else -1
+            terms.append((sign, self.parse_term()))
+        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
 
     def parse_term(self):
-        node = self.parse_unary()
+        sign, factor = self.parse_unary()
+        factors = [factor]
+        divisor = 1
         while self.current.kind in ("*", "/"):
             if self.advance().kind == "*":
-                node = BinOp("*", node, self.parse_unary())
+                factor_sign, factor = self.parse_unary()
+                sign *= factor_sign
+                factors.append(factor)
             else:
-                divisor = self.expect("int")
-                if divisor.value == 0:
-                    raise ExprSyntaxError("division by zero", divisor.pos)
-                node = RatDiv(node, divisor.value)
-        return node
+                token = self.expect("int")
+                if token.value == 0:
+                    raise ExprSyntaxError("division by zero", token.pos)
+                divisor *= token.value
+        if len(factors) == 1 and sign == 1 and divisor == 1:
+            return factor
+        return Product(tuple(factors), sign, divisor)
 
-    def parse_unary(self):
-        if self.current.kind == "-":
+    def parse_unary(self) -> tuple[int, object]:
+        sign = 1
+        while self.current.kind == "-":
             self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            sign = -sign
+        return sign, self.parse_power()
 
     def parse_power(self):
         node = self.parse_atom()
@@ -246,6 +246,18 @@ class _Parser:
             return PowNat(node, exponent.value)
         return node
 
+    def parse_nested(self, opener: _Token):
+        """The expression inside a parenthesis or call that ``opener`` opens."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"parentheses and calls nest deeper than the limit of {MAX_NESTING}", opener.pos
+            )
+        self.depth += 1
+        node = self.parse_expr()
+        self.expect(")")
+        self.depth -= 1
+        return node
+
     def parse_atom(self):
         token = self.current
         if token.kind == "int":
@@ -253,9 +265,7 @@ class _Parser:
             return Num(token.value)
         if token.kind == "(":
             self.advance()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
+            return self.parse_nested(token)
         if token.kind == "name":
             self.advance()
             word = token.value
@@ -270,54 +280,120 @@ class _Parser:
                     )
                 return RawVar(_RAW_VARS[word])
             if word in _FUNCS:
-                self.expect("(")
-                arg = self.parse_expr()
-                self.expect(")")
-                return Call(word, arg)
+                return Call(word, self.parse_nested(self.expect("(")))
         raise ExprSyntaxError(f"expected an atom, found {token.kind!r}", token.pos)
 
 
-def _lower(node) -> BicomplexFunction:
+# ---------------------------------------------------------------- lowering
+#
+# Each component lowers to the integer form of ``polyfun``: numerators
+# {monomial: (re, im)} over one denominator.  ``_lower`` fills only the
+# components listed in ``comps`` (0: plus, 1: minus), so the two sides of
+# 'P | M' each lower just the component they give.  Calls go through the
+# BicomplexFunction methods.
+
+_VAR_Z = ((1, 0, 0, 0), (0, 0, 1, 0))  # monomial of Z in each component
+_UNIT_FORMS = {
+    name: tuple(_integer_form({_ZERO_MONO: g} if g else {}) for g in (unit.alpha, unit.beta))
+    for name, unit in _UNITS.items()
+}
+
+
+def _add_into(acc: dict, acc_den: int, nums: dict, den: int, sign: int) -> int:
+    """Add ``sign * nums/den`` to ``acc/acc_den`` in place; returns the new
+    common denominator of ``acc``."""
+    common = lcm(acc_den, den)
+    if common != acc_den:
+        factor = common // acc_den
+        for key, (re, im) in acc.items():
+            acc[key] = (re * factor, im * factor)
+    factor = sign * (common // den)
+    for key, (re, im) in nums.items():
+        re *= factor
+        im *= factor
+        old = acc.get(key)
+        if old is not None:
+            re += old[0]
+            im += old[1]
+            if not (re or im):
+                del acc[key]
+                continue
+        acc[key] = (re, im)
+    return common
+
+
+def _poly(form: tuple[dict, int]) -> Poly4:
+    return Poly4._raw(_from_integer_form(*form))
+
+
+def _lower(node, comps: tuple[int, ...]) -> list:
+    out: list = [None, None]
     if isinstance(node, Num):
-        return BicomplexFunction.constant(node.value)
-    if isinstance(node, UnitLit):
-        return BicomplexFunction.constant(_UNITS[node.name])
-    if isinstance(node, VarZ):
-        return BicomplexFunction.variable()
-    if isinstance(node, RawVar):
-        return BicomplexFunction.from_shared(Poly4.variable(node.index))
-    if isinstance(node, Neg):
-        return -_lower(node.operand)
-    if isinstance(node, BinOp):
-        left, right = _lower(node.left), _lower(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
-    if isinstance(node, RatDiv):
-        return _lower(node.operand) / node.divisor
-    if isinstance(node, PowNat):
-        return _lower(node.base) ** node.exponent
-    if isinstance(node, Call):
-        arg = _lower(node.arg)
+        for c in comps:
+            out[c] = ({_ZERO_MONO: (node.value, 0)} if node.value else {}, 1)
+    elif isinstance(node, UnitLit):
+        for c in comps:
+            out[c] = _UNIT_FORMS[node.name][c]
+    elif isinstance(node, VarZ):
+        for c in comps:
+            out[c] = ({_VAR_Z[c]: (1, 0)}, 1)
+    elif isinstance(node, RawVar):
+        key = [0, 0, 0, 0]
+        key[node.index] = 1
+        for c in comps:
+            out[c] = ({tuple(key): (1, 0)}, 1)
+    elif isinstance(node, Sum):
+        accs = [({}, 1) if c in comps else None for c in (0, 1)]
+        for sign, term in node.terms:
+            lowered = _lower(term, comps)
+            for c in comps:
+                acc, den = accs[c]
+                accs[c] = (acc, _add_into(acc, den, *lowered[c], sign))
+        out = accs
+    elif isinstance(node, Product):
+        lowered = [_lower(factor, comps) for factor in node.factors]
+        for c in comps:
+            nums, den = {_ZERO_MONO: (node.sign, 0)}, node.divisor
+            for factor in lowered:
+                factor_nums, factor_den = factor[c]
+                nums = _mul_nums(nums, factor_nums)
+                den *= factor_den
+            out[c] = (nums, den)
+    elif isinstance(node, PowNat):
+        base = _lower(node.base, comps)
+        for c in comps:
+            out[c] = _pow_form(*base[c], node.exponent)
+    elif isinstance(node, Call):
+        plus, minus = _lower(node.arg, (0, 1))
+        arg = BicomplexFunction(_poly(plus), _poly(minus))
         if node.func == "dag":
-            return arg.conjugate("dagger")
-        if node.func == "til":
-            return arg.conjugate("tilde")
-        if node.func == "star":
-            return arg.conjugate("star")
-        if node.func == "rehyp":
-            return arg.hyperbolic_part()
-        return arg.real_part()
-    if isinstance(node, Pair):
-        return BicomplexFunction(_lower(node.left).plus, _lower(node.right).minus)
-    raise TypeError(f"unknown AST node {node!r}")
+            value = arg.conjugate("dagger")
+        elif node.func == "til":
+            value = arg.conjugate("tilde")
+        elif node.func == "star":
+            value = arg.conjugate("star")
+        elif node.func == "rehyp":
+            value = arg.hyperbolic_part()
+        else:
+            value = arg.real_part()
+        for c in comps:
+            out[c] = _integer_form((value.plus, value.minus)[c].terms)
+    else:
+        raise TypeError(f"unknown AST node {node!r}")
+    return out
 
 
 def parse(text: str, raw: bool = False) -> BicomplexFunction:
-    """Parse an expression into canonical componentwise form."""
-    return _lower(_Parser(_tokenize(text), raw).parse_input())
+    """Parse an expression into canonical componentwise form.
+
+    Parentheses and calls may nest at most ``MAX_NESTING`` deep; a sum or
+    product may have any number of terms.
+    """
+    node = _Parser(_tokenize(text), raw).parse_input()
+    if isinstance(node, Pair):
+        return BicomplexFunction(_poly(_lower(node.left, (0,))[0]), _poly(_lower(node.right, (1,))[1]))
+    plus, minus = _lower(node, (0, 1))
+    return BicomplexFunction(_poly(plus), _poly(minus))
 
 
 def parse_point(text: str) -> Bicomplex:

@@ -14,7 +14,7 @@ every operator in :mod:`bcpoly.operators` diagonal.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 from typing import Iterable, Optional
 
 from .bicomplex import Bicomplex, GaussianRational
@@ -36,6 +36,78 @@ def _as_monomial(key) -> Monomial:
     if len(key) != NVARS or any((not isinstance(e, int)) or e < 0 for e in key):
         raise ValueError(f"monomial key must be 4 nonnegative integers, got {key!r}")
     return key  # type: ignore[return-value]
+
+
+# Integer kernels.  Multiply, power and evaluate run on an integer form: the
+# numerators of the coefficients as Gaussian-integer pairs over one common
+# positive denominator, ``({monomial: (re_num, im_num)}, den)``, the layout of
+# FLINT's fmpq_poly.  Kernels never store a zero pair, and a key that
+# cancels to zero and reappears moves to the end, so the terms of a result
+# come in the order of the GaussianRational loops they replace.
+
+
+def _integer_form(terms: dict) -> tuple[dict, int]:
+    """Numerators over ``den``, the lcm of the coefficient denominators."""
+    den = 1
+    for c in terms.values():
+        den = lcm(den, c.re.denominator, c.im.denominator)
+    return {
+        key: (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for key, c in terms.items()
+    }, den
+
+
+def _from_integer_form(nums: dict, den: int) -> dict:
+    """The ``{monomial: GaussianRational}`` terms of an integer form."""
+    return {key: GaussianRational(Fraction(re, den), Fraction(im, den)) for key, (re, im) in nums.items()}
+
+
+def _mul_nums(a: dict, b: dict) -> dict:
+    """Product of two numerator dicts (the denominators multiply)."""
+    out: dict = {}
+    get = out.get
+    for (a0, a1, a2, a3), (ar, ai) in a.items():
+        for (b0, b1, b2, b3), (br, bi) in b.items():
+            key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            acc = get(key)
+            if acc is not None:
+                re += acc[0]
+                im += acc[1]
+                if not (re or im):
+                    del out[key]
+                    continue
+            out[key] = (re, im)
+    return out
+
+
+def _pow_form(nums: dict, den: int, exponent: int) -> tuple[dict, int]:
+    """An integer form raised to a nonnegative power by repeated squaring."""
+    out: dict = {_ZERO_MONO: (1, 0)}
+    out_den = 1
+    while exponent:
+        if exponent & 1:
+            out = _mul_nums(out, nums)
+            out_den *= den
+        if exponent > 1:
+            nums = _mul_nums(nums, nums)
+            den *= den
+        exponent >>= 1
+    return out, out_den
+
+
+def _power_table(value: GaussianRational, top: int) -> tuple[list, int]:
+    """Gaussian integers ``value^e * d^(top - e)`` for e = 0..top, and d^top,
+    with d the common denominator of ``value``: every entry is over d^top."""
+    re, im = value.re, value.im
+    d = lcm(re.denominator, im.denominator)
+    p, q = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+    powers = [(1, 0)]
+    for _ in range(top):
+        x, y = powers[-1]
+        powers.append((x * p - y * q, x * q + y * p))
+    return [(x * d ** (top - e), y * d ** (top - e)) for e, (x, y) in enumerate(powers)], d ** top
 
 
 class Poly4:
@@ -115,31 +187,14 @@ class Poly4:
         return self + (-other)
 
     def __mul__(self, other: "Poly4") -> "Poly4":
-        out: dict[Monomial, GaussianRational] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2], ka[3] + kb[3])
-                prod = ca * cb
-                acc = out.get(key)
-                total = prod if acc is None else acc + prod
-                if total.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = total
-        return Poly4._raw(out)
+        a, a_den = _integer_form(self.terms)
+        b, b_den = _integer_form(other.terms)
+        return Poly4._raw(_from_integer_form(_mul_nums(a, b), a_den * b_den))
 
     def __pow__(self, exponent: int) -> "Poly4":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        out = Poly4.constant(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return Poly4._raw(_from_integer_form(*_pow_form(*_integer_form(self.terms), exponent)))
 
     def scale(self, coeff) -> "Poly4":
         coeff = GaussianRational.coerce(coeff)
@@ -180,14 +235,20 @@ class Poly4:
 
     def substitute(self, values: tuple) -> GaussianRational:
         values = tuple(GaussianRational.coerce(v) for v in values)
-        total = GaussianRational(0)
-        for key, coeff in self.terms.items():
-            term = coeff
-            for var, e in enumerate(key):
-                if e:
-                    term = term * (values[var] ** e)
-            total = total + term
-        return total
+        nums, den = _integer_form(self.terms)
+        tables = []
+        for var, value in enumerate(values):
+            table, scale = _power_table(value, max((key[var] for key in nums), default=0))
+            tables.append(table)
+            den *= scale
+        t0, t1, t2, t3 = tables
+        total_re = total_im = 0
+        for (e0, e1, e2, e3), (re, im) in nums.items():
+            for x, y in (t0[e0], t1[e1], t2[e2], t3[e3]):
+                re, im = re * x - im * y, re * y + im * x
+            total_re += re
+            total_im += im
+        return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
 
     def degree(self, var: int) -> Optional[int]:
         """Max exponent of one variable; ``None`` for the zero polynomial."""

@@ -164,3 +164,17 @@ def test_json_round_trip(z):
 def test_gaussian_inverse(g):
     if not g.is_zero():
         assert g * g.inverse() == GaussianRational(1)
+
+
+def test_equal_values_hash_equal():
+    assert len({1, Fraction(1), GaussianRational(1), Bicomplex(1, 1)}) == 1
+    assert len({Bicomplex(1, 1), Hyperbolic(1, 1)}) == 1
+    assert len({Bicomplex(2, -3), Hyperbolic(2, -3)}) == 1
+
+
+@given(gaussians())
+def test_hash_agrees_with_equality(g):
+    assert hash(Bicomplex(g, g)) == hash(g)
+    if g.is_real():
+        assert hash(g) == hash(g.re)
+        assert hash(Hyperbolic(g.re, g.re)) == hash(g)

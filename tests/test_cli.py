@@ -34,10 +34,11 @@ def test_eval_json_output_is_the_eight_string_array():
 
 
 def test_eval_domain_error_is_structured():
-    result = run_cli("eval", "Z +", "--at", "0")
-    assert result.returncode == 1
-    payload = json.loads(result.stderr)
-    assert payload["error"] == "ExprSyntaxError"
+    for text in ("Z +", "(" * 300 + "Z" + ")" * 300):
+        result = run_cli("eval", text, "--at", "0")
+        assert result.returncode == 1
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "ExprSyntaxError"
 
 
 def test_apply_d1_annihilates_cross_term():

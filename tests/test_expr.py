@@ -14,7 +14,7 @@ from bcpoly import (
     parse,
     parse_point,
 )
-from bcpoly.expr import function_from_json_obj, function_to_json_obj, operator_from_json_obj, operator_to_json_obj
+from bcpoly.expr import MAX_NESTING, function_from_json_obj, function_to_json_obj, operator_from_json_obj, operator_to_json_obj
 from bcpoly.operators import laplacian
 from bcpoly.polyfun import BicomplexFunction, Poly4
 from bcpoly.sampling import Sampler
@@ -87,6 +87,24 @@ def test_syntax_errors_carry_positions():
         parse("dag Z")
     with pytest.raises(ExprSyntaxError):
         parse("Z Z")
+    with pytest.raises(ExprSyntaxError):
+        parse("Z²")
+
+
+def test_unary_minus_chain_of_any_length():
+    assert parse("-" * 1200 + "Z") == BicomplexFunction.variable()
+    assert parse("-" * 1201 + "Z") == -BicomplexFunction.variable()
+
+
+def test_nesting_limit():
+    assert parse("(" * MAX_NESTING + "Z" + ")" * MAX_NESTING) == BicomplexFunction.variable()
+    # the error names the limit and the opening parenthesis one past it
+    deep_call = "dag(" * (MAX_NESTING + 1) + "Z" + ")" * (MAX_NESTING + 1)
+    for text, pos in (("(" * 300 + "Z" + ")" * 300, MAX_NESTING), (deep_call, 4 * MAX_NESTING + 3)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert f"limit of {MAX_NESTING}" in str(err.value)
+        assert err.value.pos == pos
 
 
 def test_component_join_syntax():
