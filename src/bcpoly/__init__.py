@@ -55,6 +55,7 @@ from .decompose import (
     repart_to_polyanalytic,
 )
 from .expr import (
+    ExprLimitError,
     ExprSyntaxError,
     JsonFormatError,
     format_function,

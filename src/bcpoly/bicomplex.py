@@ -262,6 +262,15 @@ class Hyperbolic:
     def to_bicomplex(self) -> "Bicomplex":
         return Bicomplex(GaussianRational(self.x_plus), GaussianRational(self.x_minus))
 
+    def __eq__(self, other):
+        # compare as a bicomplex value, so that equality with Bicomplex,
+        # GaussianRational, int and Fraction values is transitive
+        try:
+            other = Bicomplex.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self.to_bicomplex() == other
+
     def __hash__(self):
         # a Bicomplex compares equal to it, so it hashes like one
         return hash(self.to_bicomplex())

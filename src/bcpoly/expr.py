@@ -22,6 +22,12 @@ followed by i, j or k multiplies it (``2i`` is ``2*i``).  Parentheses and
 calls nest at most ``MAX_NESTING`` deep; sums, products and runs of unary
 minus signs have no length limit.
 
+The reader makes one pass and builds no syntax tree: each grammar rule
+returns its value as expanded polynomial components, so the expansion runs
+while the text is read.  Its work is bounded by ``MAX_TERM_PAIRS``, past
+which ``ExprLimitError`` is raised, possibly before a syntax error later in
+the text.
+
 The canonical text for a function is ``plus-poly | minus-poly`` with
 monomials in ascending lexicographic exponent order; parsing the canonical
 text in raw mode restores the function exactly.  The JSON codecs are
@@ -32,12 +38,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from itertools import islice
 from math import lcm
-from typing import NamedTuple, Union
 
 from .bicomplex import Bicomplex, BicomplexError, GaussianRational
-from .bicomplex import E_MINUS, E_PLUS, I, J, K
+from .bicomplex import DAGGER, E_MINUS, E_PLUS, I, J, K, STAR, TILDE
 from .bicomplex import _join_terms
 from .operators import Operator
 from .polyfun import BicomplexFunction, Poly4
@@ -45,6 +50,7 @@ from .polyfun import _ZERO_MONO, _from_integer_form, _integer_form, _mul_nums, _
 
 __all__ = [
     "ExprSyntaxError",
+    "ExprLimitError",
     "JsonFormatError",
     "parse",
     "parse_point",
@@ -58,14 +64,47 @@ __all__ = [
     "operator_from_json_obj",
     "VAR_NAMES",
     "MAX_NESTING",
+    "MAX_TERM_PAIRS",
 ]
 
 VAR_NAMES = ("a", "ac", "b", "bc")
 
-_UNITS = {"i": I, "j": J, "k": K, "e+": E_PLUS, "e-": E_MINUS}
-_FUNCS = ("dag", "til", "star", "rehyp", "rec")
-_RAW_VARS = {"a": 0, "ac": 1, "b": 2, "bc": 3}
-_WORDS = {"Z"} | set(_UNITS) | set(_FUNCS) | set(_RAW_VARS)
+# Parentheses and function calls open at once.  The reader recurses only
+# along this nesting, so the cap keeps it far inside Python's recursion
+# limit; a sum or product of any length is read by loops.
+MAX_NESTING = 100
+
+# Expansion work of one parse, in term pairs: a product of an m-term and an
+# n-term component counts m*n, as does each multiply inside a power; a power
+# x^e also counts e times the bits its numbers can gain per factor (log2 of
+# x's denominator and of the sum of |re| + |im| over its numerators), and a
+# call, which runs on Gaussian rationals, _CALL_PAIRS per term of its
+# argument, about its cost against the integer multiply.  The benchmark's
+# largest expression needs 26 thousand, (Z+star(Z)+1)^60 570 thousand.
+MAX_TERM_PAIRS = 800_000
+_CALL_PAIRS = 64
+
+_FUNCS = {
+    "dag": lambda f: f.conjugate(DAGGER),
+    "til": lambda f: f.conjugate(TILDE),
+    "star": lambda f: f.conjugate(STAR),
+    "rehyp": lambda f: f.hyperbolic_part(),
+    "rec": lambda f: f.real_part(),
+}
+
+# the values of the named atoms, as integer forms per component; shared,
+# so no rule may add into them
+_ATOMS = {
+    name: (_integer_form(fn.plus.terms), _integer_form(fn.minus.terms))
+    for name, fn in (
+        ("Z", BicomplexFunction.variable()),
+        *((name, BicomplexFunction.constant(unit)) for name, unit in
+          (("i", I), ("j", J), ("k", K), ("e+", E_PLUS), ("e-", E_MINUS))),
+        *((name, BicomplexFunction.from_shared(Poly4.variable(var))) for var, name in enumerate(VAR_NAMES)),
+    )
+}
+_SYMBOLS = {"+", "-", "*", "/", "^", "(", ")", "|"}
+_KNOWN = set(_ATOMS) | set(_FUNCS) | _SYMBOLS | {""}
 
 
 class ExprSyntaxError(BicomplexError):
@@ -76,227 +115,34 @@ class ExprSyntaxError(BicomplexError):
         self.pos = pos
 
 
+class ExprLimitError(BicomplexError):
+    """An expression whose expansion would exceed ``MAX_TERM_PAIRS``."""
+
+
 class JsonFormatError(BicomplexError):
     """Malformed serialized data; the message names the offending path."""
 
 
-# ---------------------------------------------------------------- tokens
+# ---------------------------------------------------------------- reader
 
-_SYMBOLS = {"+", "-", "*", "/", "^", "(", ")", "|"}
-
-
-class _Token(NamedTuple):
-    kind: str  # 'int', 'name', one of the symbols, or 'eof'
-    value: Union[int, str, None]
-    pos: int
+# One lexeme per match, as a plain string: an integer, the empty string
+# between an integer and an i, j or k right after it (the '2i' sugar, which
+# the term rule reads as '*'), a name (e+ and e- included), or any other
+# non-space character.  An error finds its token's position by matching again.
+_LEXEME = re.compile(r"\s*(\d+|(?<=\d)(?=[ijk])|e[+-]|[^\W\d_]+|\S)")
 
 
-# an integer, a name (e+ and e- included), or any other non-space character
-_LEXEME = re.compile(r"\s*(?:(\d+)|(e[+-]|[^\W\d_]+)|(\S))")
+def _kind(token) -> str:
+    """The token class that error messages name."""
+    if token is None:
+        return "eof"
+    if token.isdecimal():
+        return "int"
+    return token if token in _SYMBOLS else "name"
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for match in _LEXEME.finditer(text):
-        digits, word, char = match.groups()
-        if digits is not None:
-            tokens.append(_Token("int", int(digits), match.start(1)))
-            if text[match.end():match.end() + 1] in ("i", "j", "k"):  # sugar: 2i means 2*i
-                tokens.append(_Token("*", "*", match.end()))
-        elif word is not None:
-            if word not in _WORDS:
-                raise ExprSyntaxError(f"unknown name {word!r}", match.start(2))
-            tokens.append(_Token("name", word, match.start(2)))
-        elif char in _SYMBOLS:
-            tokens.append(_Token(char, char, match.start(3)))
-        else:
-            raise ExprSyntaxError(f"unexpected character {char!r}", match.start(3))
-    tokens.append(_Token("eof", None, len(text)))
-    return tokens
-
-
-# ---------------------------------------------------------------- ast
-
-@dataclass(frozen=True)
-class Num:
-    value: int
-
-
-@dataclass(frozen=True)
-class UnitLit:
-    name: str
-
-
-@dataclass(frozen=True)
-class VarZ:
-    pass
-
-
-@dataclass(frozen=True)
-class RawVar:
-    index: int
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # (sign, node) pairs, sign +1 or -1
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
-    sign: int  # +1 or -1, from the unary minus signs of the factors
-    divisor: int  # product of the '/ INT' divisors
-
-
-@dataclass(frozen=True)
-class PowNat:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
-
-
-@dataclass(frozen=True)
-class Pair:
-    left: object
-    right: object
-
-
-# Parentheses and function calls open at once.  The parser and the lowering
-# recurse only along this nesting, so the cap keeps both far inside Python's
-# recursion limit; a sum or product of any length is walked by loops.
-MAX_NESTING = 100
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], raw: bool):
-        self.tokens = tokens
-        self.raw = raw
-        self.index = 0
-        self.depth = 0
-
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.current
-        self.index += 1
-        return token
-
-    def expect(self, kind: str) -> _Token:
-        if self.current.kind != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {self.current.kind!r}", self.current.pos)
-        return self.advance()
-
-    def parse_input(self):
-        left = self.parse_expr()
-        if self.current.kind == "|":
-            self.advance()
-            right = self.parse_expr()
-            node = Pair(left, right)
-        else:
-            node = left
-        if self.current.kind != "eof":
-            raise ExprSyntaxError(f"unexpected trailing {self.current.kind!r}", self.current.pos)
-        return node
-
-    def parse_expr(self):
-        terms = [(1, self.parse_term())]
-        while self.current.kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
-            terms.append((sign, self.parse_term()))
-        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
-
-    def parse_term(self):
-        sign, factor = self.parse_unary()
-        factors = [factor]
-        divisor = 1
-        while self.current.kind in ("*", "/"):
-            if self.advance().kind == "*":
-                factor_sign, factor = self.parse_unary()
-                sign *= factor_sign
-                factors.append(factor)
-            else:
-                token = self.expect("int")
-                if token.value == 0:
-                    raise ExprSyntaxError("division by zero", token.pos)
-                divisor *= token.value
-        if len(factors) == 1 and sign == 1 and divisor == 1:
-            return factor
-        return Product(tuple(factors), sign, divisor)
-
-    def parse_unary(self) -> tuple[int, object]:
-        sign = 1
-        while self.current.kind == "-":
-            self.advance()
-            sign = -sign
-        return sign, self.parse_power()
-
-    def parse_power(self):
-        node = self.parse_atom()
-        if self.current.kind == "^":
-            self.advance()
-            exponent = self.expect("int")
-            return PowNat(node, exponent.value)
-        return node
-
-    def parse_nested(self, opener: _Token):
-        """The expression inside a parenthesis or call that ``opener`` opens."""
-        if self.depth == MAX_NESTING:
-            raise ExprSyntaxError(
-                f"parentheses and calls nest deeper than the limit of {MAX_NESTING}", opener.pos
-            )
-        self.depth += 1
-        node = self.parse_expr()
-        self.expect(")")
-        self.depth -= 1
-        return node
-
-    def parse_atom(self):
-        token = self.current
-        if token.kind == "int":
-            self.advance()
-            return Num(token.value)
-        if token.kind == "(":
-            self.advance()
-            return self.parse_nested(token)
-        if token.kind == "name":
-            self.advance()
-            word = token.value
-            if word == "Z":
-                return VarZ()
-            if word in _UNITS:
-                return UnitLit(word)
-            if word in _RAW_VARS:
-                if not self.raw:
-                    raise ExprSyntaxError(
-                        f"idempotent variable {word!r} requires raw idempotent mode", token.pos
-                    )
-                return RawVar(_RAW_VARS[word])
-            if word in _FUNCS:
-                return Call(word, self.parse_nested(self.expect("(")))
-        raise ExprSyntaxError(f"expected an atom, found {token.kind!r}", token.pos)
-
-
-# ---------------------------------------------------------------- lowering
-#
-# Each component lowers to the integer form of ``polyfun``: numerators
-# {monomial: (re, im)} over one denominator.  ``_lower`` fills only the
-# components listed in ``comps`` (0: plus, 1: minus), so the two sides of
-# 'P | M' each lower just the component they give.  Calls go through the
-# BicomplexFunction methods.
-
-_VAR_Z = ((1, 0, 0, 0), (0, 0, 1, 0))  # monomial of Z in each component
-_UNIT_FORMS = {
-    name: tuple(_integer_form({_ZERO_MONO: g} if g else {}) for g in (unit.alpha, unit.beta))
-    for name, unit in _UNITS.items()
-}
+def _poly(form: tuple[dict, int]) -> Poly4:
+    return Poly4._raw(_from_integer_form(*form))
 
 
 def _add_into(acc: dict, acc_den: int, nums: dict, den: int, sign: int) -> int:
@@ -322,77 +168,217 @@ def _add_into(acc: dict, acc_den: int, nums: dict, den: int, sign: int) -> int:
     return common
 
 
-def _poly(form: tuple[dict, int]) -> Poly4:
-    return Poly4._raw(_from_integer_form(*form))
+class _Reader:
+    """Recursive descent over the lexemes of one text.
 
+    Each rule returns a value: a pair of integer forms ``(nums, den)``, one
+    per component (0: plus, 1: minus), of which only the components in
+    ``comps`` are computed (the others may be None).  The two sides of
+    'P | M' each compute just the component they give; a call computes
+    both for its argument.  The forms that ``term`` returns are new dicts,
+    so a sum may add into its first term in place.
+    """
 
-def _lower(node, comps: tuple[int, ...]) -> list:
-    out: list = [None, None]
-    if isinstance(node, Num):
-        for c in comps:
-            out[c] = ({_ZERO_MONO: (node.value, 0)} if node.value else {}, 1)
-    elif isinstance(node, UnitLit):
-        for c in comps:
-            out[c] = _UNIT_FORMS[node.name][c]
-    elif isinstance(node, VarZ):
-        for c in comps:
-            out[c] = ({_VAR_Z[c]: (1, 0)}, 1)
-    elif isinstance(node, RawVar):
-        key = [0, 0, 0, 0]
-        key[node.index] = 1
-        for c in comps:
-            out[c] = ({tuple(key): (1, 0)}, 1)
-    elif isinstance(node, Sum):
-        accs = [({}, 1) if c in comps else None for c in (0, 1)]
-        for sign, term in node.terms:
-            lowered = _lower(term, comps)
+    def __init__(self, text: str, raw: bool):
+        self.text = text
+        self.tokens = _LEXEME.findall(text)
+        if not all(token.isdecimal() for token in set(self.tokens) - _KNOWN):
+            for match in _LEXEME.finditer(text):
+                token = match[1]
+                if token not in _KNOWN and not token.isdecimal():
+                    # a name matches [^\W\d_]+, any other lexeme is one character
+                    what = "unknown name" if token[0].isalnum() else "unexpected character"
+                    raise ExprSyntaxError(f"{what} {token!r}", match.start(1))
+        self.tokens.append(None)  # end of input
+        self.raw = raw
+        self.index = 0
+        self.depth = 0
+        self.work = 0
+
+    def error(self, message: str, index: int | None = None) -> ExprSyntaxError:
+        """A syntax error at the token ``index`` (default: the current one)."""
+        index = self.index if index is None else index
+        match = next(islice(_LEXEME.finditer(self.text), index, None), None)
+        return ExprSyntaxError(message, len(self.text) if match is None else match.start(1))
+
+    def expect(self, symbol: str) -> None:
+        token = self.tokens[self.index]
+        if token != symbol:
+            raise self.error(f"expected {symbol!r}, found {_kind(token)!r}")
+        self.index += 1
+
+    def integer(self) -> int:
+        token = self.tokens[self.index]
+        if token is None or not token.isdecimal():
+            raise self.error(f"expected 'int', found {_kind(token)!r}")
+        self.index += 1
+        return int(token)
+
+    # ---- work budget
+
+    def charge(self, pairs: int) -> None:
+        self.work += pairs
+        if self.work > MAX_TERM_PAIRS:
+            raise ExprLimitError(f"expansion needs more than the limit of {MAX_TERM_PAIRS} term pairs")
+
+    def mul(self, a: dict, b: dict) -> dict:
+        self.charge(len(a) * len(b))
+        return _mul_nums(a, b)
+
+    # ---- grammar
+
+    def read(self) -> tuple:
+        pair = "|" in self.tokens
+        self.comps = (0,) if pair else (0, 1)
+        value = self.expr()
+        if pair and self.tokens[self.index] == "|":
+            self.index += 1
+            self.comps = (1,)
+            value = (value[0], self.expr()[1])
+        token = self.tokens[self.index]
+        if token is not None:
+            raise self.error(f"unexpected trailing {_kind(token)!r}")
+        return value
+
+    def expr(self) -> tuple:
+        tokens = self.tokens
+        value = self.term()
+        if tokens[self.index] not in ("+", "-"):
+            return value
+        comps = self.comps
+        acc = list(value)
+        while (op := tokens[self.index]) in ("+", "-"):
+            self.index += 1
+            term = self.term()
+            sign = 1 if op == "+" else -1
             for c in comps:
-                acc, den = accs[c]
-                accs[c] = (acc, _add_into(acc, den, *lowered[c], sign))
-        out = accs
-    elif isinstance(node, Product):
-        lowered = [_lower(factor, comps) for factor in node.factors]
-        for c in comps:
-            nums, den = {_ZERO_MONO: (node.sign, 0)}, node.divisor
-            for factor in lowered:
-                factor_nums, factor_den = factor[c]
-                nums = _mul_nums(nums, factor_nums)
-                den *= factor_den
-            out[c] = (nums, den)
-    elif isinstance(node, PowNat):
-        base = _lower(node.base, comps)
-        for c in comps:
-            out[c] = _pow_form(*base[c], node.exponent)
-    elif isinstance(node, Call):
-        plus, minus = _lower(node.arg, (0, 1))
-        arg = BicomplexFunction(_poly(plus), _poly(minus))
-        if node.func == "dag":
-            value = arg.conjugate("dagger")
-        elif node.func == "til":
-            value = arg.conjugate("tilde")
-        elif node.func == "star":
-            value = arg.conjugate("star")
-        elif node.func == "rehyp":
-            value = arg.hyperbolic_part()
-        else:
-            value = arg.real_part()
-        for c in comps:
-            out[c] = _integer_form((value.plus, value.minus)[c].terms)
-    else:
-        raise TypeError(f"unknown AST node {node!r}")
-    return out
+                nums, den = acc[c]
+                acc[c] = (nums, _add_into(nums, den, *term[c], sign))
+        return tuple(acc)
+
+    def term(self) -> tuple:
+        tokens = self.tokens
+        sign, factors, divisor = 1, [], 1
+        while True:
+            while tokens[self.index] == "-":
+                self.index += 1
+                sign = -sign
+            factors.append(self.power())
+            while tokens[self.index] == "/":
+                self.index += 1
+                value = self.integer()
+                if value == 0:
+                    raise self.error("division by zero", self.index - 1)
+                divisor *= value
+            if tokens[self.index] not in ("*", ""):
+                break
+            self.index += 1
+        out = [None, None]
+        for c in self.comps:
+            out[c] = self.product(sign, [factor[c] for factor in factors], divisor)
+        return tuple(out)
+
+    def product(self, sign: int, forms: list, divisor: int) -> tuple[dict, int]:
+        """One component of a term: the one-term factors fold into a single
+        coefficient and monomial, and only the factors with several terms
+        are multiplied."""
+        e0 = e1 = e2 = e3 = 0
+        re, im, den = sign, 0, divisor
+        multi = None
+        for nums, d in forms:
+            den *= d
+            if len(nums) == 1:
+                [((k0, k1, k2, k3), (a, b))] = nums.items()
+                e0 += k0
+                e1 += k1
+                e2 += k2
+                e3 += k3
+                re, im = re * a - im * b, re * b + im * a
+            elif not nums:
+                re = im = 0
+            elif re or im:
+                multi = nums if multi is None else self.mul(multi, nums)
+        if not (re or im):
+            return {}, 1
+        if multi is None:
+            return {(e0, e1, e2, e3): (re, im)}, den
+        if not (e0 or e1 or e2 or e3 or im) and re == 1:
+            return multi, den
+        self.charge(len(multi))
+        return {
+            (k0 + e0, k1 + e1, k2 + e2, k3 + e3): (a * re - b * im, a * im + b * re)
+            for (k0, k1, k2, k3), (a, b) in multi.items()
+        }, den
+
+    def power(self) -> tuple:
+        value = self.atom()
+        if self.tokens[self.index] != "^":
+            return value
+        self.index += 1
+        exponent = self.integer()
+        out = [None, None]
+        for c in self.comps:
+            nums, den = value[c]
+            norm = sum(abs(re) + abs(im) for re, im in nums.values())
+            self.charge(exponent * (max(norm.bit_length() - 1, 0) + den.bit_length() - 1))
+            if len(nums) == 1:
+                [((k0, k1, k2, k3), (a, b))] = nums.items()
+                if not b:  # a real monomial
+                    e = exponent
+                    out[c] = ({(k0 * e, k1 * e, k2 * e, k3 * e): (a ** e, 0)}, den ** e)
+                    continue
+            out[c] = _pow_form(nums, den, exponent, self.mul)
+        return tuple(out)
+
+    def nested(self, opener: int) -> tuple:
+        """The expression inside a parenthesis or call that the token at
+        ``opener`` opens."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"parentheses and calls nest deeper than the limit of {MAX_NESTING}", opener)
+        self.depth += 1
+        value = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return value
+
+    def atom(self) -> tuple:
+        start = self.index
+        token = self.tokens[start]
+        self.index += 1
+        if token and token.isdecimal():
+            value = int(token)
+            form = ({_ZERO_MONO: (value, 0)} if value else {}, 1)
+            return form, form
+        if token == "(":
+            return self.nested(start)
+        terms = _ATOMS.get(token)
+        if terms is not None:
+            if not self.raw and token in VAR_NAMES:
+                raise self.error(f"idempotent variable {token!r} requires raw idempotent mode", start)
+            return terms
+        func = _FUNCS.get(token)
+        if func is not None:
+            self.expect("(")
+            outer, self.comps = self.comps, (0, 1)
+            plus, minus = self.nested(start + 1)
+            self.comps = outer
+            self.charge(_CALL_PAIRS * (len(plus[0]) + len(minus[0])))
+            value = func(BicomplexFunction(_poly(plus), _poly(minus)))
+            return tuple(
+                _integer_form((value.plus, value.minus)[c].terms) if c in outer else None for c in (0, 1)
+            )
+        raise self.error(f"expected an atom, found {_kind(token)!r}", start)
 
 
 def parse(text: str, raw: bool = False) -> BicomplexFunction:
     """Parse an expression into canonical componentwise form.
 
     Parentheses and calls may nest at most ``MAX_NESTING`` deep; a sum or
-    product may have any number of terms.
+    product may have any number of terms.  Raises ``ExprSyntaxError`` for
+    malformed text and ``ExprLimitError`` when the expansion would need more
+    than ``MAX_TERM_PAIRS`` term pairs.
     """
-    node = _Parser(_tokenize(text), raw).parse_input()
-    if isinstance(node, Pair):
-        return BicomplexFunction(_poly(_lower(node.left, (0,))[0]), _poly(_lower(node.right, (1,))[1]))
-    plus, minus = _lower(node, (0, 1))
+    plus, minus = _Reader(text, raw).read()
     return BicomplexFunction(_poly(plus), _poly(minus))
 
 
@@ -489,7 +475,7 @@ def _terms_from_json(data, path: str) -> Poly4:
         if coeff.is_zero():
             raise JsonFormatError(f"{entry_path}: explicit zero coefficient")
         terms[key] = coeff
-    return Poly4(terms)
+    return Poly4._raw(terms)  # the checks above are those of Poly4()
 
 
 def function_to_json_obj(fn: BicomplexFunction) -> dict:

@@ -82,16 +82,17 @@ def _mul_nums(a: dict, b: dict) -> dict:
     return out
 
 
-def _pow_form(nums: dict, den: int, exponent: int) -> tuple[dict, int]:
-    """An integer form raised to a nonnegative power by repeated squaring."""
+def _pow_form(nums: dict, den: int, exponent: int, mul=_mul_nums) -> tuple[dict, int]:
+    """An integer form raised to a nonnegative power by repeated squaring;
+    ``mul`` multiplies two numerator dicts."""
     out: dict = {_ZERO_MONO: (1, 0)}
     out_den = 1
     while exponent:
         if exponent & 1:
-            out = _mul_nums(out, nums)
+            out = mul(out, nums)
             out_den *= den
         if exponent > 1:
-            nums = _mul_nums(nums, nums)
+            nums = mul(nums, nums)
             den *= den
         exponent >>= 1
     return out, out_den

@@ -172,6 +172,15 @@ def test_equal_values_hash_equal():
     assert len({Bicomplex(2, -3), Hyperbolic(2, -3)}) == 1
 
 
+def test_hyperbolic_equality_is_transitive():
+    assert Hyperbolic(1, 1) == 1 and 1 == Hyperbolic(1, 1)
+    assert Hyperbolic(1, 1) == Fraction(1) == GaussianRational(1) == Bicomplex(1, 1)
+    assert Hyperbolic(1, 1) != 2 and Hyperbolic(1, 2) != 1
+    assert Hyperbolic(2, -3) == Bicomplex(2, -3) and Hyperbolic(2, -3) == Hyperbolic.from_xy(Fraction(-1, 2), Fraction(5, 2))
+    assert Hyperbolic(1, 1) != "1"
+    assert len({Hyperbolic(1, 1), Bicomplex(1, 1), GaussianRational(1), Fraction(1), 1}) == 1
+
+
 @given(gaussians())
 def test_hash_agrees_with_equality(g):
     assert hash(Bicomplex(g, g)) == hash(g)

@@ -1,12 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 CLI = [sys.executable, "-m", "bcpoly"]
+# the CLI runs from this checkout's sources, installed or not
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=ENV)
 
 
 def test_eval_square_at_one_plus_j():
@@ -39,6 +44,14 @@ def test_eval_domain_error_is_structured():
         assert result.returncode == 1
         payload = json.loads(result.stderr)
         assert payload["error"] == "ExprSyntaxError"
+
+
+def test_expansion_limit_error_is_structured():
+    result = run_cli("classify", "(Z+star(Z)+dag(Z)+1)^200")
+    assert result.returncode == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "ExprLimitError"
+    assert "limit of" in payload["message"]
 
 
 def test_apply_d1_annihilates_cross_term():

@@ -1,10 +1,14 @@
+import time
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from bcpoly import (
     Bicomplex,
+    BicomplexError,
+    ExprLimitError,
     ExprSyntaxError,
     GaussianRational,
     JsonFormatError,
@@ -14,7 +18,7 @@ from bcpoly import (
     parse,
     parse_point,
 )
-from bcpoly.expr import MAX_NESTING, function_from_json_obj, function_to_json_obj, operator_from_json_obj, operator_to_json_obj
+from bcpoly.expr import MAX_NESTING, MAX_TERM_PAIRS, function_from_json_obj, function_to_json_obj, operator_from_json_obj, operator_to_json_obj
 from bcpoly.operators import laplacian
 from bcpoly.polyfun import BicomplexFunction, Poly4
 from bcpoly.sampling import Sampler
@@ -91,6 +95,58 @@ def test_syntax_errors_carry_positions():
         parse("Z²")
 
 
+# malformed inputs, with the exact message and position each one raises
+_DEEP_PARENS = "(" * (MAX_NESTING + 1) + "Z" + ")" * (MAX_NESTING + 1)
+_DEEP_CALLS = "rec(" * (MAX_NESTING + 1) + "Z" + ")" * (MAX_NESTING + 1)
+_SYNTAX_ERRORS = [
+    ("Z + ?", False, "unexpected character '?'", 4),
+    ("Z_1", False, "unexpected character '_'", 1),
+    ("Z ) ?", False, "unexpected character '?'", 4),  # lexical errors come first
+    ("foo(Z)", False, "unknown name 'foo'", 0),
+    ("x + 1", False, "unknown name 'x'", 0),
+    ("ex", False, "unknown name 'ex'", 0),
+    ("a + foo", False, "unknown name 'foo'", 4),
+    ("Z²", False, "unknown name 'Z²'", 0),
+    ("2ij", False, "unknown name 'ij'", 1),
+    ("Z Z", False, "unexpected trailing 'name'", 2),
+    ("2 i", False, "unexpected trailing 'name'", 2),
+    ("1 2", False, "unexpected trailing 'int'", 2),
+    ("2i2", False, "unexpected trailing 'int'", 2),
+    ("Z )", False, "unexpected trailing ')'", 2),
+    ("Z^2^3", False, "unexpected trailing '^'", 3),
+    ("a | b | bc", True, "unexpected trailing '|'", 6),
+    ("(a | b)", True, "expected ')', found '|'", 3),
+    ("| Z", False, "expected an atom, found '|'", 0),
+    ("Z |", False, "expected an atom, found 'eof'", 3),
+    ("", False, "expected an atom, found 'eof'", 0),
+    ("   ", False, "expected an atom, found 'eof'", 3),
+    ("-", False, "expected an atom, found 'eof'", 1),
+    ("*Z", False, "expected an atom, found '*'", 0),
+    ("()", False, "expected an atom, found ')'", 1),
+    ("Z*/2", False, "expected an atom, found '/'", 2),
+    ("Z / 0", False, "division by zero", 4),
+    ("Z/00", False, "division by zero", 2),
+    ("Z / Z", False, "expected 'int', found 'name'", 4),
+    ("Z^-1", False, "expected 'int', found '-'", 2),
+    ("Z^", False, "expected 'int', found 'eof'", 2),
+    ("(Z", False, "expected ')', found 'eof'", 2),
+    ("dag Z", False, "expected '(', found 'name'", 4),
+    ("dag(Z", False, "expected ')', found 'eof'", 5),
+    ("a", False, "idempotent variable 'a' requires raw idempotent mode", 0),
+    ("Z + bc", False, "idempotent variable 'bc' requires raw idempotent mode", 4),
+    (_DEEP_PARENS, False, f"parentheses and calls nest deeper than the limit of {MAX_NESTING}", MAX_NESTING),
+    (_DEEP_CALLS, False, f"parentheses and calls nest deeper than the limit of {MAX_NESTING}", 4 * MAX_NESTING + 3),
+]
+
+
+@pytest.mark.parametrize("text, raw, message, pos", _SYNTAX_ERRORS)
+def test_syntax_error_table(text, raw, message, pos):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text, raw=raw)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
 def test_unary_minus_chain_of_any_length():
     assert parse("-" * 1200 + "Z") == BicomplexFunction.variable()
     assert parse("-" * 1201 + "Z") == -BicomplexFunction.variable()
@@ -107,6 +163,37 @@ def test_nesting_limit():
         assert err.value.pos == pos
 
 
+def test_expansion_work_limit():
+    # each ran for minutes or would exhaust memory without the limit; the
+    # limit comes before the syntax error at the end of the third
+    nested_calls = "rec(1+Z*(" * 50 + "Z" + ")" * 100
+    for text in (nested_calls, "(Z+star(Z)+dag(Z)+1)^200", "(Z+star(Z)+dag(Z)+1)^200 +", "7^777777777777"):
+        start = time.perf_counter()
+        with pytest.raises(ExprLimitError) as err:
+            parse(text)
+        assert time.perf_counter() - start < 5
+        assert f"limit of {MAX_TERM_PAIRS} term pairs" in str(err.value)
+    # 1891 terms per component, inside the limit
+    f = parse("(Z+star(Z)+1)^60")
+    assert len(f.plus.terms) == len(f.minus.terms) == 1891
+
+
+# any string over the grammar's alphabet ends in a function or a domain
+# error; an example may expand up to the work limit, about half a second,
+# so the default deadline of hypothesis does not apply
+_LEXEMES = ["Z", "i", "j", "k", "e+", "e-", "a", "ac", "b", "bc", "dag", "til", "star", "rehyp", "rec",
+            "(", ")", "+", "-", "*", "/", "^", "|", " ", "0", "1", "2", "7", "x", "?"]
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from(_LEXEMES), max_size=16).map("".join), st.booleans())
+def test_any_short_string_parses_or_raises_a_domain_error(text, raw):
+    try:
+        assert isinstance(parse(text, raw=raw), BicomplexFunction)
+    except BicomplexError:
+        pass
+
+
 def test_component_join_syntax():
     f = parse("a^2 | b + bc", raw=True)
     assert f.plus == ALPHA ** 2
@@ -114,8 +201,6 @@ def test_component_join_syntax():
 
 
 def test_point_parser_rejects_non_constants():
-    from bcpoly import BicomplexError
-
     with pytest.raises(BicomplexError):
         parse_point("Z + 1")
 

@@ -1,5 +1,5 @@
-"""The integer kernels of ``Poly4`` and the expression lowering against the
-GaussianRational reference loops of ``reference_poly``."""
+"""The integer kernels of ``Poly4`` against the GaussianRational reference
+loops of ``reference_poly``, and the expression reader on a large round trip."""
 
 import random
 from fractions import Fraction
