@@ -27,12 +27,12 @@ from .classify import (
     ClassMembership,
     NotNilpotent,
     Signature,
+    annihilation_order,
     class_membership,
     classification_report,
     laplacian_orders,
     pair_polyharmonic_order,
     polyharmonic_order,
-    polyholo_signature,
     signature_by_degrees,
     signature_by_iteration,
 )
@@ -66,7 +66,7 @@ from .expr import (
     parse_point,
 )
 from .operators import Operator, laplacian, wirtinger
-from .polyfun import BicomplexFunction, Poly4
+from .polyfun import BicomplexFunction, EvalLimitError, Poly4
 from .sampling import Sampler
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Exact-order classification of polynomial bicomplex functions.
 
-Three gauges are computed here, each with two independent routes (closed-form
-degree bookkeeping vs. brute iteration of the operators):
+:func:`annihilation_order` decides every order below: in closed form when
+each operator component is one derivative monomial d^κ (the Wirtinger
+operators, d1-d6, their powers), by iteration otherwise (d7, sums):
 
 * the annihilation signature (m, n, k): minimal powers with
   ``d/dZ*^m f = d/dZ~^n f = d/dZ^dagger^k f = 0``;
@@ -9,6 +10,9 @@ degree bookkeeping vs. brute iteration of the operators):
 * membership in the structured classes: componentwise-holomorphic functions,
   the first-kind class (each component polyanalytic in its own variable
   pair), and the conjugate-power class it spans.
+
+:func:`polyharmonic_order` and :func:`signature_by_iteration` iterate; they
+are the independent oracle for the closed form.
 
 The zero function is assigned order 0 and signature (0, 0, 0) so that every
 operation stays total.
@@ -21,21 +25,24 @@ from typing import Optional
 
 from .bicomplex import BicomplexError
 from .operators import Operator, laplacian, wirtinger
-from .polyfun import BicomplexFunction, Poly4
+from .polyfun import NVARS, BicomplexFunction, Poly4
 
 __all__ = [
     "NotNilpotent",
     "Signature",
     "ClassMembership",
+    "annihilation_order",
     "polyharmonic_order",
     "pair_polyharmonic_order",
     "signature_by_degrees",
     "signature_by_iteration",
-    "polyholo_signature",
     "class_membership",
     "laplacian_orders",
     "classification_report",
 ]
+
+
+_SIGNATURE_KINDS = ("Zstar", "Ztilde", "Zdagger")
 
 
 class NotNilpotent(BicomplexError):
@@ -86,43 +93,40 @@ def polyharmonic_order(fn: BicomplexFunction, op: Operator, cap: Optional[int] =
     return count
 
 
+def _order_under(poly: Poly4, kappa: tuple[int, ...]) -> int:
+    """Smallest p >= 0 with (d^κ)^p poly = 0: 0 for the zero polynomial,
+    else 1 + max over terms of min over κ_i > 0 of floor(e_i / κ_i)."""
+    if not poly.terms:
+        return 0
+    return 1 + max(min(e // c for e, c in zip(key, kappa) if c) for key in poly.terms)
+
+
+def annihilation_order(fn: BicomplexFunction, op: Operator) -> int:
+    """Smallest p >= 0 with op^p fn = 0: ``(op ** p).apply(fn).is_zero()``
+    exactly when p >= this order.  Operators that are not single derivative
+    monomials go to :func:`polyharmonic_order`, which may raise
+    :class:`NotNilpotent`."""
+    # the closed form needs each component to be one monomial c*d^κ, κ != 0
+    kappas = [key for part in (op.plus, op.minus) for key in part.terms if len(part.terms) == 1 and any(key)]
+    if len(kappas) != 2:
+        return polyharmonic_order(fn, op)
+    return max(_order_under(fn.plus, kappas[0]), _order_under(fn.minus, kappas[1]))
+
+
 def pair_polyharmonic_order(poly: Poly4, pair: tuple[int, int]) -> int:
     """Order of one component under its own-pair Laplacian d_z d_zbar,
     treating the other two variables as coefficient parameters."""
-    if poly.is_zero():
-        return 0
-    z, zbar = pair
-    return 1 + max(min(key[z], key[zbar]) for key in poly.terms)
-
-
-def _degree_or(value: Optional[int], default: int = -1) -> int:
-    return default if value is None else value
+    return _order_under(poly, tuple(int(var in pair) for var in range(NVARS)))
 
 
 def signature_by_degrees(fn: BicomplexFunction) -> Signature:
     """Signature read off the componentwise conjugate-variable degrees."""
-    dp = fn.plus.degrees()
-    dm = fn.minus.degrees()
-    m = 1 + max(_degree_or(dp[1]), _degree_or(dm[3]))
-    n = 1 + max(_degree_or(dp[3]), _degree_or(dm[1]))
-    k = 1 + max(_degree_or(dp[2]), _degree_or(dm[0]))
-    return Signature(m, n, k)
-
-
-def _annihilation_order(fn: BicomplexFunction, op: Operator) -> int:
-    return polyharmonic_order(fn, op, cap=fn.total_degree() + 2)
+    return Signature(*(annihilation_order(fn, wirtinger(kind)) for kind in _SIGNATURE_KINDS))
 
 
 def signature_by_iteration(fn: BicomplexFunction) -> Signature:
     """Independent route: brute-force iteration of the three operators."""
-    return Signature(
-        _annihilation_order(fn, wirtinger("Zstar")),
-        _annihilation_order(fn, wirtinger("Ztilde")),
-        _annihilation_order(fn, wirtinger("Zdagger")),
-    )
-
-
-polyholo_signature = signature_by_degrees
+    return Signature(*(polyharmonic_order(fn, wirtinger(kind)) for kind in _SIGNATURE_KINDS))
 
 
 def class_membership(fn: BicomplexFunction) -> ClassMembership:
@@ -130,15 +134,14 @@ def class_membership(fn: BicomplexFunction) -> ClassMembership:
     a1: Optional[tuple[int, int]] = None
     zstar: Optional[int] = None
     if fn.plus.uses_only((0, 1)) and fn.minus.uses_only((2, 3)):
-        m = 1 + _degree_or(fn.plus.degree(1))
-        n = 1 + _degree_or(fn.minus.degree(3))
-        a1 = (m, n)
-        zstar = max(m, n)
+        # per-component orders under d/dZ* = (d/d conj alpha, d/d conj beta)
+        a1 = (_order_under(fn.plus, (0, 1, 0, 0)), _order_under(fn.minus, (0, 0, 0, 1)))
+        zstar = max(a1)
     return ClassMembership(holo, a1, zstar)
 
 
 def laplacian_orders(fn: BicomplexFunction) -> dict[str, int]:
-    return {f"d{i}": polyharmonic_order(fn, laplacian(i)) for i in range(1, 8)}
+    return {f"d{i}": annihilation_order(fn, laplacian(i)) for i in range(1, 8)}
 
 
 def classification_report(fn: BicomplexFunction) -> dict:

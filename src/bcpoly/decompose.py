@@ -24,10 +24,11 @@ system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Optional
 
 from .bicomplex import BicomplexError
-from .classify import class_membership, pair_polyharmonic_order, polyharmonic_order
+from .classify import annihilation_order, class_membership, pair_polyharmonic_order
 from .operators import laplacian, wirtinger
 from .polyfun import PAIR_ALPHA, PAIR_BETA, BicomplexFunction, Poly4
 
@@ -98,6 +99,17 @@ class ConjugateExpansion:
         return total
 
 
+def _merge_groups(plus_groups: dict, minus_groups: dict) -> dict:
+    """Coefficient functions from plus and minus ``Poly4.group_by`` dicts."""
+    return {
+        index: BicomplexFunction(
+            plus_groups.get(index, Poly4.zero()),
+            minus_groups.get(index, Poly4.zero()),
+        )
+        for index in set(plus_groups) | set(minus_groups)
+    }
+
+
 def expand_conjugate_basis(fn: BicomplexFunction) -> ConjugateExpansion:
     """Extract the coefficient of each conjugate-power basis monomial.
 
@@ -105,15 +117,7 @@ def expand_conjugate_basis(fn: BicomplexFunction) -> ConjugateExpansion:
     exponents leaving a polynomial in alpha, the minus part symmetrically by
     (conj-beta, conj-alpha, alpha) leaving one in beta.
     """
-    plus_groups = fn.plus.group_by((1, 3, 2))
-    minus_groups = fn.minus.group_by((3, 1, 0))
-    coeffs: dict[tuple[int, int, int], BicomplexFunction] = {}
-    for index in set(plus_groups) | set(minus_groups):
-        coeffs[index] = BicomplexFunction(
-            plus_groups.get(index, Poly4.zero()),
-            minus_groups.get(index, Poly4.zero()),
-        )
-    return ConjugateExpansion(coeffs)
+    return ConjugateExpansion(_merge_groups(fn.plus.group_by((1, 3, 2)), fn.minus.group_by((3, 1, 0))))
 
 
 def expand_zstar(fn: BicomplexFunction) -> list[BicomplexFunction]:
@@ -214,17 +218,15 @@ def almansi_bicomplex(fn: BicomplexFunction) -> AlmansiDecomposition:
     H_t annihilated by the bicomplex Laplacian.
 
     Works componentwise, each component in its own pair with the other pair
-    riding along as parameters; the shorter layer list is padded with zeros.
+    riding along as parameters, so the order under the bicomplex Laplacian
+    is the longer of the two layer lists; the shorter is padded with zeros.
     """
-    order = polyharmonic_order(fn, laplacian(1))
-    plus_layers = _almansi_layers(fn.plus, PAIR_ALPHA)
-    minus_layers = _almansi_layers(fn.minus, PAIR_BETA)
-    plus_layers += [Poly4.zero()] * (order - len(plus_layers))
-    minus_layers += [Poly4.zero()] * (order - len(minus_layers))
-    parts = tuple(
-        BicomplexFunction(p, m) for p, m in zip(plus_layers, minus_layers)
+    parts = zip_longest(
+        _almansi_layers(fn.plus, PAIR_ALPHA),
+        _almansi_layers(fn.minus, PAIR_BETA),
+        fillvalue=Poly4.zero(),
     )
-    return AlmansiDecomposition(parts, pair=None)
+    return AlmansiDecomposition(tuple(BicomplexFunction(p, m) for p, m in parts), pair=None)
 
 
 def repart_to_polyanalytic(poly: Poly4, pair: str = "alpha") -> Poly4:
@@ -256,9 +258,16 @@ def repart_to_polyanalytic(poly: Poly4, pair: str = "alpha") -> Poly4:
     return Poly4(out)
 
 
+def _invert_pair(fn: BicomplexFunction) -> BicomplexFunction:
+    """Invert the real part of each component on its own variable pair."""
+    return BicomplexFunction(
+        repart_to_polyanalytic(fn.plus, "alpha"),
+        repart_to_polyanalytic(fn.minus, "beta"),
+    )
+
+
 def _require_kernel(fn: BicomplexFunction, name: str, op, power: int = 1) -> None:
-    image = (op ** power).apply(fn)
-    if not image.is_zero():
+    if annihilation_order(fn, op) > power:
         raise PreconditionViolation(name, f"precondition failed: {name} does not annihilate the input")
 
 
@@ -276,10 +285,7 @@ def rehyp_to_holomorphic(fn: BicomplexFunction) -> BicomplexFunction:
     _require_kernel(fn, "d1-harmonic", laplacian(1))
     _require_kernel(fn, "dZdagger-kernel", wirtinger("Zdagger"))
     _require_kernel(fn, "dZtilde-kernel", wirtinger("Ztilde"))
-    return BicomplexFunction(
-        repart_to_polyanalytic(fn.plus, "alpha"),
-        repart_to_polyanalytic(fn.minus, "beta"),
-    )
+    return _invert_pair(fn)
 
 
 def rehyp_to_polyholomorphic_A1(fn: BicomplexFunction) -> tuple[BicomplexFunction, tuple[int, int]]:
@@ -294,10 +300,7 @@ def rehyp_to_polyholomorphic_A1(fn: BicomplexFunction) -> tuple[BicomplexFunctio
         raise NotHyperbolicValued("input must be hyperbolic-valued (components fixed by bar)")
     _require_kernel(fn, "dZdagger-kernel", wirtinger("Zdagger"))
     _require_kernel(fn, "dZtilde-kernel", wirtinger("Ztilde"))
-    inverted = BicomplexFunction(
-        repart_to_polyanalytic(fn.plus, "alpha"),
-        repart_to_polyanalytic(fn.minus, "beta"),
-    )
+    inverted = _invert_pair(fn)
     orders = (
         pair_polyharmonic_order(fn.plus, PAIR_ALPHA),
         pair_polyharmonic_order(fn.minus, PAIR_BETA),
@@ -362,14 +365,7 @@ def main_decomposition(fn: BicomplexFunction, bound_dagger: int, bound_tilde: in
     _require_kernel(fn, f"dZdagger^{bound_dagger}-kernel", wirtinger("Zdagger"), bound_dagger)
     _require_kernel(fn, f"dZtilde^{bound_tilde}-kernel", wirtinger("Ztilde"), bound_tilde)
 
-    plus_groups = fn.plus.group_by((2, 3))
-    minus_groups = fn.minus.group_by((0, 1))
-    coeffs: dict[tuple[int, int], BicomplexFunction] = {}
-    for index in set(plus_groups) | set(minus_groups):
-        coeffs[index] = BicomplexFunction(
-            plus_groups.get(index, Poly4.zero()),
-            minus_groups.get(index, Poly4.zero()),
-        )
+    coeffs = _merge_groups(fn.plus.group_by((2, 3)), fn.minus.group_by((0, 1)))
 
     non_real: list[tuple[str, int, int]] = []
     for (l1, l2), coeff in coeffs.items():
@@ -381,13 +377,7 @@ def main_decomposition(fn: BicomplexFunction, bound_dagger: int, bound_tilde: in
 
     inverted = None
     if not non_real:
-        inverted = {
-            index: BicomplexFunction(
-                repart_to_polyanalytic(coeff.plus, "alpha"),
-                repart_to_polyanalytic(coeff.minus, "beta"),
-            )
-            for index, coeff in coeffs.items()
-        }
+        inverted = {index: _invert_pair(coeff) for index, coeff in coeffs.items()}
     return MainDecomposition(
         bound_dagger=bound_dagger,
         bound_tilde=bound_tilde,

@@ -109,8 +109,6 @@ class Operator:
             return NotImplemented
         return Operator(self.plus * other.plus, self.minus * other.minus)
 
-    compose = __mul__
-
     def __pow__(self, exponent: int) -> "Operator":
         return Operator(self.plus ** exponent, self.minus ** exponent)
 

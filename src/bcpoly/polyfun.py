@@ -17,10 +17,10 @@ from fractions import Fraction
 from math import lcm, perm
 from typing import Iterable, Optional
 
-from .bicomplex import Bicomplex, GaussianRational
+from .bicomplex import Bicomplex, BicomplexError, GaussianRational
 from .bicomplex import DAGGER, STAR, TILDE, _check_kind
 
-__all__ = ["Poly4", "BicomplexFunction", "NVARS", "PAIR_ALPHA", "PAIR_BETA"]
+__all__ = ["Poly4", "BicomplexFunction", "EvalLimitError", "MAX_EVAL_BITS", "NVARS", "PAIR_ALPHA", "PAIR_BETA"]
 
 NVARS = 4
 Monomial = tuple[int, int, int, int]
@@ -29,6 +29,19 @@ PAIR_ALPHA = (0, 1)
 PAIR_BETA = (2, 3)
 
 _ZERO_MONO: Monomial = (0, 0, 0, 0)
+
+# Evaluating a component raises each coordinate to the top exponent e of its
+# variable, so its numbers reach about the sum over the four variables of e*b
+# bits, b the longest numerator or denominator of the coordinate.  Past this
+# many bits evaluation is refused before any power is built, which also bounds
+# the power tables (e*e*b bits) and the final gcd.  At the limit one
+# evaluation takes about 0.05 s; the benchmark needs at most 140 bits and the
+# tests 105.
+MAX_EVAL_BITS = 4096
+
+
+class EvalLimitError(BicomplexError):
+    """An evaluation whose numbers would exceed ``MAX_EVAL_BITS`` bits."""
 
 
 def _as_monomial(key) -> Monomial:
@@ -237,9 +250,16 @@ class Poly4:
     def substitute(self, values: tuple) -> GaussianRational:
         values = tuple(GaussianRational.coerce(v) for v in values)
         nums, den = _integer_form(self.terms)
+        tops = [max((key[var] for key in nums), default=0) for var in range(NVARS)]
+        bits = [
+            max(n.bit_length() for n in (v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator))
+            for v in values
+        ]
+        if sum(top * b for top, b in zip(tops, bits)) > MAX_EVAL_BITS:
+            raise EvalLimitError(f"evaluation needs numbers of more than the limit of {MAX_EVAL_BITS} bits")
         tables = []
-        for var, value in enumerate(values):
-            table, scale = _power_table(value, max((key[var] for key in nums), default=0))
+        for value, top in zip(values, tops):
+            table, scale = _power_table(value, top)
             tables.append(table)
             den *= scale
         t0, t1, t2, t3 = tables

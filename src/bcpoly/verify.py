@@ -1,11 +1,11 @@
 """Seeded randomized verification suites for every stated identity.
 
 Each suite draws inputs from a deterministic :class:`~bcpoly.sampling.Sampler`
-and checks exact (zero-tolerance) equalities.  A suite result records the
-trial count, failure count, retry count (exact-order suites resample a
-degenerate draw up to ten times), the seed, and the first counterexample in
-serialized form.  Identical parameters always produce byte-identical
-reports.
+and checks exact (zero-tolerance) equalities.  Every failing trial counts:
+nothing is redrawn.  A suite result records the trial count, failure count,
+the seed, and the first counterexample in serialized form; its report also
+carries a ``retries`` key, always 0, for readers of the report format.
+Identical parameters always produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -48,15 +48,11 @@ from .sampling import Sampler
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "DEFAULT_TRIALS", "run_suite", "run_suites", "report_to_json"]
 
-MAX_RETRIES = 10
-
-
 @dataclass
 class SuiteResult:
     name: str
     trials: int
     failures: int
-    retries: int
     seed: int
     first_counterexample: Optional[dict] = None
     flags: dict = field(default_factory=dict)
@@ -66,15 +62,11 @@ class SuiteResult:
             "name": self.name,
             "trials": self.trials,
             "failures": self.failures,
-            "retries": self.retries,
+            "retries": 0,
             "seed": self.seed,
             "first_counterexample": self.first_counterexample,
             "flags": self.flags,
         }
-
-
-def _fn_json(fn: BicomplexFunction) -> str:
-    return format_function(fn)
 
 
 def _fail(check: str, **context) -> dict:
@@ -152,13 +144,13 @@ def _trial_reduction_lemma(s: Sampler, flags: dict) -> Optional[dict]:
     fn = s.function()
     d = {i: laplacian(i) for i in range(1, 8)}
     if d[6].apply(fn) != d[1].apply(fn.conjugate("dagger")).conjugate("dagger"):
-        return _fail("reduction-6-1", f=_fn_json(fn))
+        return _fail("reduction-6-1", f=format_function(fn))
     if d[5].apply(fn) != d[2].apply(fn.conjugate("star")).conjugate("star"):
-        return _fail("reduction-5-2", f=_fn_json(fn))
+        return _fail("reduction-5-2", f=format_function(fn))
     if d[4].apply(fn) != d[3].apply(fn.conjugate("star")).conjugate("star"):
-        return _fail("reduction-4-3", f=_fn_json(fn))
+        return _fail("reduction-4-3", f=format_function(fn))
     if d[7].apply(fn) != d[1].apply(fn) + d[6].apply(fn) or d[7] != d[1] + d[6]:
-        return _fail("reduction-7-sum", f=_fn_json(fn))
+        return _fail("reduction-7-sum", f=format_function(fn))
     return None
 
 
@@ -167,29 +159,29 @@ def _trial_fn_pointwise(s: Sampler, flags: dict) -> Optional[dict]:
     z = s.bicomplex()
     for kind in ("dagger", "tilde", "star"):
         if fn.conjugate(kind).evaluate(z) != fn.evaluate(z).conjugate(kind):
-            return _fail("pointwise-conjugation", kind=kind, f=_fn_json(fn), z=str(z))
+            return _fail("pointwise-conjugation", kind=kind, f=format_function(fn), z=str(z))
     hyp = s.hyperbolic_valued_function()
     if not hyp.is_hyperbolic_valued():
-        return _fail("hyperbolic-symmetry", f=_fn_json(hyp))
+        return _fail("hyperbolic-symmetry", f=format_function(hyp))
     if not hyp.evaluate(z).is_hyperbolic():
-        return _fail("hyperbolic-value", f=_fn_json(hyp), z=str(z))
+        return _fail("hyperbolic-value", f=format_function(hyp), z=str(z))
     rehyp = fn.hyperbolic_part()
     if rehyp.hyperbolic_part() != rehyp or not rehyp.is_hyperbolic_valued():
-        return _fail("hyperbolic-part-projection", f=_fn_json(fn))
+        return _fail("hyperbolic-part-projection", f=format_function(fn))
     if not fn.real_part().is_real_valued():
-        return _fail("real-part-real-valued", f=_fn_json(fn))
+        return _fail("real-part-real-valued", f=format_function(fn))
     dz = wirtinger("Z")
     if dz.apply(fn * gn) != dz.apply(fn) * gn + fn * dz.apply(gn):
-        return _fail("leibniz", f=_fn_json(fn), g=_fn_json(gn))
+        return _fail("leibniz", f=format_function(fn), g=format_function(gn))
     ops = [wirtinger(kind) for kind in ("Z", "Zstar", "Zdagger", "Ztilde")]
     for i, a in enumerate(ops):
         for b in ops[i + 1:]:
             if a * b != b * a or a.apply(b.apply(fn)) != b.apply(a.apply(fn)):
-                return _fail("wirtinger-commutation", f=_fn_json(fn))
+                return _fail("wirtinger-commutation", f=format_function(fn))
     if Operator.k_multiplication().apply(fn) != fn.scale(K):
-        return _fail("k-multiplication", f=_fn_json(fn))
+        return _fail("k-multiplication", f=format_function(fn))
     if Operator.identity().apply(fn) != fn:
-        return _fail("identity-action", f=_fn_json(fn))
+        return _fail("identity-action", f=format_function(fn))
     return None
 
 
@@ -200,14 +192,14 @@ def _trial_char2_kernel(s: Sampler, flags: dict) -> Optional[dict]:
     member = s.a1_function(m, n)
     star, dagger, tilde = wirtinger("Zstar"), wirtinger("Zdagger"), wirtinger("Ztilde")
     if not (star ** level).apply(member).is_zero():
-        return _fail("char2-member-star-kernel", f=_fn_json(member), level=level)
+        return _fail("char2-member-star-kernel", f=format_function(member), level=level)
     if not dagger.apply(member).is_zero() or not tilde.apply(member).is_zero():
-        return _fail("char2-member-first-order", f=_fn_json(member))
+        return _fail("char2-member-first-order", f=format_function(member))
     if level >= 1 and (star ** (level - 1)).apply(member).is_zero() and (m, n) != (0, 0):
-        return _fail("char2-member-exactness", f=_fn_json(member), level=level)
+        return _fail("char2-member-exactness", f=format_function(member), level=level)
     report = class_membership(member)
     if report.a1_orders != (m, n) or report.zstar_order != max(m, n):
-        return _fail("char2-member-orders", f=_fn_json(member), got=str(report.a1_orders))
+        return _fail("char2-member-orders", f=format_function(member), got=str(report.a1_orders))
     probe = s.function() if s.rng.random() < 0.5 else member
     probe_report = class_membership(probe)
     level2 = s.rng.randint(1, 4)
@@ -218,7 +210,7 @@ def _trial_char2_kernel(s: Sampler, flags: dict) -> Optional[dict]:
         and tilde.apply(probe).is_zero()
     )
     if lhs != rhs:
-        return _fail("char2-equivalence", f=_fn_json(probe), level=level2)
+        return _fail("char2-equivalence", f=format_function(probe), level=level2)
     return None
 
 
@@ -227,18 +219,18 @@ def _trial_classify_oracle(s: Sampler, flags: dict) -> Optional[dict]:
     fast = signature_by_degrees(fn)
     slow = signature_by_iteration(fn)
     if fast != slow:
-        return _fail("signature-oracle", f=_fn_json(fn), fast=str(fast.as_tuple()), slow=str(slow.as_tuple()))
+        return _fail("signature-oracle", f=format_function(fn), fast=str(fast.as_tuple()), slow=str(slow.as_tuple()))
     if not fn.is_zero():
         star, dagger, tilde = wirtinger("Zstar"), wirtinger("Zdagger"), wirtinger("Ztilde")
         for op, order in ((star, fast.m), (tilde, fast.n), (dagger, fast.k)):
             if order >= 1 and (op ** (order - 1)).apply(fn).is_zero():
-                return _fail("signature-exactness", f=_fn_json(fn))
+                return _fail("signature-exactness", f=format_function(fn))
     level = s.rng.randint(1, 5)
     member = class_membership(fn)
     lhs = fast.n <= 1 and fast.k <= 1 and fast.m <= level
     rhs = member.zstar_order is not None and member.zstar_order <= level
     if lhs != rhs:
-        return _fail("a2-l11-coincidence", f=_fn_json(fn), level=level)
+        return _fail("a2-l11-coincidence", f=format_function(fn), level=level)
     return None
 
 
@@ -249,13 +241,13 @@ def _trial_polyholo_orders(s: Sampler, flags: dict) -> Optional[dict]:
     fn = s.a2_function(m, n, k)
     d1 = laplacian(1)
     if polyharmonic_order(fn, d1) != m:
-        return _fail("order-of-f", f=_fn_json(fn), expected=m)
+        return _fail("order-of-f", f=format_function(fn), expected=m)
     if polyharmonic_order(fn.conjugate("dagger"), d1) != min(n, k):
-        return _fail("order-of-f-dagger", f=_fn_json(fn), expected=min(n, k))
+        return _fail("order-of-f-dagger", f=format_function(fn), expected=min(n, k))
     if polyharmonic_order(fn.hyperbolic_part(), d1) != m:
-        return _fail("order-of-rehyp", f=_fn_json(fn), expected=m)
+        return _fail("order-of-rehyp", f=format_function(fn), expected=m)
     if polyharmonic_order(fn.real_part(), d1) != max(m, min(n, k)):
-        return _fail("order-of-rec", f=_fn_json(fn), expected=max(m, min(n, k)))
+        return _fail("order-of-rec", f=format_function(fn), expected=max(m, min(n, k)))
     # informational: the stated order min(m,n,k) for the minus component
     # against the observed own-pair order (the degree bookkeeping suggests
     # min(n,k) instead); recorded, never asserted
@@ -288,19 +280,19 @@ def _trial_almansi(s: Sampler, flags: dict) -> Optional[dict]:
     fn = s.function()
     bdec = almansi_bicomplex(fn)
     if bdec.reconstruct() != fn:
-        return _fail("bicomplex-reconstruction", f=_fn_json(fn))
+        return _fail("bicomplex-reconstruction", f=format_function(fn))
     d1 = laplacian(1)
     for part in bdec.parts:
         if not d1.apply(part).is_zero():
-            return _fail("bicomplex-part-harmonic", f=_fn_json(fn))
+            return _fail("bicomplex-part-harmonic", f=format_function(fn))
     if bdec.order != polyharmonic_order(fn, d1):
-        return _fail("bicomplex-part-count", f=_fn_json(fn))
+        return _fail("bicomplex-part-count", f=format_function(fn))
 
     expansion = expand_conjugate_basis(fn)
     if expansion.reconstruct() != fn:
-        return _fail("conjugate-basis-reconstruction", f=_fn_json(fn))
+        return _fail("conjugate-basis-reconstruction", f=format_function(fn))
     if any(not class_membership(coeff).is_bc_holomorphic for coeff in expansion.coeffs.values()):
-        return _fail("conjugate-basis-coefficients", f=_fn_json(fn))
+        return _fail("conjugate-basis-coefficients", f=format_function(fn))
 
     member = s.a1_function(s.rng.randint(0, 3), s.rng.randint(1, 3))
     star = BicomplexFunction.variable_star()
@@ -309,7 +301,7 @@ def _trial_almansi(s: Sampler, flags: dict) -> Optional[dict]:
     for t, layer in enumerate(layers):
         rebuilt = rebuilt + (star ** t) * layer
     if rebuilt != member or (layers and layers[-1].is_zero()):
-        return _fail("zstar-reconstruction", f=_fn_json(member))
+        return _fail("zstar-reconstruction", f=format_function(member))
     try:
         expand_zstar(worked_examples.real_cross_term())
     except NotInClass:
@@ -326,11 +318,11 @@ def _trial_rehyp_roundtrip(s: Sampler, flags: dict) -> Optional[dict]:
     holo = s.bc_holomorphic(real_constants=True)
     rehyp = holo.hyperbolic_part()
     if not dagger.apply(rehyp).is_zero() or not tilde.apply(rehyp).is_zero():
-        return _fail("rehyp-kernels", f=_fn_json(holo))
+        return _fail("rehyp-kernels", f=format_function(holo))
     if not d1.apply(rehyp).is_zero():
-        return _fail("rehyp-harmonic", f=_fn_json(holo))
+        return _fail("rehyp-harmonic", f=format_function(holo))
     if rehyp_to_holomorphic(rehyp) != holo:
-        return _fail("holomorphic-roundtrip", f=_fn_json(holo))
+        return _fail("holomorphic-roundtrip", f=format_function(holo))
 
     m = s.rng.randint(1, 4)
     n = s.rng.randint(1, 4)
@@ -338,12 +330,12 @@ def _trial_rehyp_roundtrip(s: Sampler, flags: dict) -> Optional[dict]:
     part = first_kind.hyperbolic_part()
     top = max(m, n)
     if not (d1 ** top).apply(part).is_zero():
-        return _fail("a1-rehyp-annihilation", f=_fn_json(first_kind), order=top)
+        return _fail("a1-rehyp-annihilation", f=format_function(first_kind), order=top)
     if (d1 ** (top - 1)).apply(part).is_zero():
-        return _fail("a1-rehyp-exact-order", f=_fn_json(first_kind), order=top)
+        return _fail("a1-rehyp-exact-order", f=format_function(first_kind), order=top)
     inverted, orders = rehyp_to_polyholomorphic_A1(part)
     if inverted != first_kind or orders != (m, n):
-        return _fail("a1-roundtrip", f=_fn_json(first_kind), got=str(orders))
+        return _fail("a1-roundtrip", f=format_function(first_kind), got=str(orders))
 
     # shared hyperbolic real part forces equal signatures
     m2, n2, k2 = (s.rng.randint(1, 3) for _ in range(3))
@@ -353,9 +345,9 @@ def _trial_rehyp_roundtrip(s: Sampler, flags: dict) -> Optional[dict]:
     box_minus = (side, side, m2 - 1, m2 - 1)
     perturbed = base + s.hyperbolic_imaginary_function(box_plus, box_minus)
     if perturbed.hyperbolic_part() != base.hyperbolic_part():
-        return _fail("propunic-setup", f=_fn_json(base))
+        return _fail("propunic-setup", f=format_function(base))
     if signature_by_degrees(perturbed) != signature_by_degrees(base):
-        return _fail("propunic-signature", f=_fn_json(base), g=_fn_json(perturbed))
+        return _fail("propunic-signature", f=format_function(base), g=format_function(perturbed))
 
     # real-valued inputs that pass the inversion preconditions are constant
     candidate = s.real_valued_function()
@@ -365,7 +357,7 @@ def _trial_rehyp_roundtrip(s: Sampler, flags: dict) -> Optional[dict]:
         pass
     else:
         if not candidate.is_constant():
-            return _fail("real-valued-accepted-nonconstant", f=_fn_json(candidate))
+            return _fail("real-valued-accepted-nonconstant", f=format_function(candidate))
     constant = BicomplexFunction.constant(Bicomplex.coerce(GaussianRational(s.fraction())))
     if rehyp_to_holomorphic(constant) != constant:
         return _fail("real-constant-roundtrip")
@@ -378,9 +370,9 @@ def _trial_mainthm_i(s: Sampler, flags: dict) -> Optional[dict]:
     part = fn.hyperbolic_part()
     power = max(n, k)
     if not (wirtinger("Zdagger") ** power).apply(part).is_zero():
-        return _fail("mainthm-i-dagger", f=_fn_json(fn), power=power)
+        return _fail("mainthm-i-dagger", f=format_function(fn), power=power)
     if not (wirtinger("Ztilde") ** power).apply(part).is_zero():
-        return _fail("mainthm-i-tilde", f=_fn_json(fn), power=power)
+        return _fail("mainthm-i-tilde", f=format_function(fn), power=power)
     return None
 
 
@@ -393,26 +385,26 @@ def _trial_mainthm_ii(s: Sampler, flags: dict) -> Optional[dict]:
     fn, expected_non_real = s.kernel_box_function(n, k, real_coeffs=real_case)
     dec = main_decomposition(fn, n, k)
     if dec.reconstruct() != fn:
-        return _fail("mainthm-ii-reconstruction", f=_fn_json(fn), n=n, k=k)
+        return _fail("mainthm-ii-reconstruction", f=format_function(fn), n=n, k=k)
     order = polyharmonic_order(fn, laplacian(1))
     for index, coeff in dec.coeffs.items():
         if polyharmonic_order(coeff, laplacian(1)) > order:
-            return _fail("mainthm-ii-coefficient-order", f=_fn_json(fn), index=list(index))
+            return _fail("mainthm-ii-coefficient-order", f=format_function(fn), index=list(index))
     if real_case:
         if dec.inverted is None or dec.non_real:
-            return _fail("mainthm-ii-refined-missing", f=_fn_json(fn))
+            return _fail("mainthm-ii-refined-missing", f=format_function(fn))
         if dec.reconstruct_from_inverted() != fn:
-            return _fail("mainthm-ii-refined-reconstruction", f=_fn_json(fn))
+            return _fail("mainthm-ii-refined-reconstruction", f=format_function(fn))
         for index, inv in dec.inverted.items():
             if class_membership(inv).a1_orders is None:
-                return _fail("mainthm-ii-refined-class", f=_fn_json(fn), index=list(index))
+                return _fail("mainthm-ii-refined-class", f=format_function(fn), index=list(index))
     else:
         if dec.inverted is not None:
-            return _fail("mainthm-ii-refined-unsound", f=_fn_json(fn))
+            return _fail("mainthm-ii-refined-unsound", f=format_function(fn))
         if list(dec.non_real) != [tuple(entry) for entry in expected_non_real]:
             return _fail(
                 "mainthm-ii-diagnostic",
-                f=_fn_json(fn),
+                f=format_function(fn),
                 got=[list(e) for e in dec.non_real],
                 expected=[list(e) for e in expected_non_real],
             )
@@ -422,9 +414,9 @@ def _trial_mainthm_ii(s: Sampler, flags: dict) -> Optional[dict]:
 def _trial_serialization(s: Sampler, flags: dict) -> Optional[dict]:
     fn = s.function()
     if parse(format_function(fn), raw=True) != fn:
-        return _fail("format-parse-roundtrip", f=_fn_json(fn))
+        return _fail("format-parse-roundtrip", f=format_function(fn))
     if function_from_json(function_to_json(fn)) != fn:
-        return _fail("function-json-roundtrip", f=_fn_json(fn))
+        return _fail("function-json-roundtrip", f=format_function(fn))
     z = s.bicomplex()
     if Bicomplex.from_json(z.to_json()) != z:
         return _fail("bicomplex-json-roundtrip", z=str(z))
@@ -436,37 +428,36 @@ def _trial_serialization(s: Sampler, flags: dict) -> Optional[dict]:
 
 def _run_paper_examples(trials: int, seed: int, max_degree: int, coeff_bound: int) -> SuiteResult:
     if trials == 0:
-        return SuiteResult("paper-examples", 0, 0, 0, seed)
+        return SuiteResult("paper-examples", 0, 0, seed)
     checks = worked_examples.run_checks()
     failures = [check for check in checks if not check["pass"]]
     return SuiteResult(
         "paper-examples",
         trials=len(checks),
         failures=len(failures),
-        retries=0,
         seed=seed,
         first_counterexample=failures[0] if failures else None,
     )
 
 
-_TRIAL_SUITES: dict[str, tuple[Callable, bool, int]] = {
-    # name -> (trial function, retryable, default trials)
-    "core-algebra": (_trial_core_algebra, False, 1000),
-    "conjugation-rotation": (_trial_conjugation_rotation, False, 1000),
-    "reduction-lemma": (_trial_reduction_lemma, False, 1000),
-    "fn-pointwise": (_trial_fn_pointwise, False, 500),
-    "char2-kernel": (_trial_char2_kernel, False, 1000),
-    "classify-oracle": (_trial_classify_oracle, False, 1000),
-    "proppolholharm-orders": (_trial_polyholo_orders, True, 500),
-    "almansi-roundtrip": (_trial_almansi, False, 500),
-    "rehyp-roundtrip": (_trial_rehyp_roundtrip, True, 500),
-    "mainthm-i": (_trial_mainthm_i, False, 500),
-    "mainthm-ii": (_trial_mainthm_ii, False, 500),
-    "serialization": (_trial_serialization, False, 500),
+_TRIAL_SUITES: dict[str, tuple[Callable, int]] = {
+    # name -> (trial function, default trials)
+    "core-algebra": (_trial_core_algebra, 1000),
+    "conjugation-rotation": (_trial_conjugation_rotation, 1000),
+    "reduction-lemma": (_trial_reduction_lemma, 1000),
+    "fn-pointwise": (_trial_fn_pointwise, 500),
+    "char2-kernel": (_trial_char2_kernel, 1000),
+    "classify-oracle": (_trial_classify_oracle, 1000),
+    "proppolholharm-orders": (_trial_polyholo_orders, 500),
+    "almansi-roundtrip": (_trial_almansi, 500),
+    "rehyp-roundtrip": (_trial_rehyp_roundtrip, 500),
+    "mainthm-i": (_trial_mainthm_i, 500),
+    "mainthm-ii": (_trial_mainthm_ii, 500),
+    "serialization": (_trial_serialization, 500),
 }
 
 SUITE_NAMES = tuple(_TRIAL_SUITES) + ("paper-examples",)
-DEFAULT_TRIALS = {name: entry[2] for name, entry in _TRIAL_SUITES.items()}
+DEFAULT_TRIALS = {name: entry[1] for name, entry in _TRIAL_SUITES.items()}
 DEFAULT_TRIALS["paper-examples"] = 1
 
 
@@ -482,25 +473,19 @@ def run_suite(
         return _run_paper_examples(count, seed, max_degree, coeff_bound)
     if name not in _TRIAL_SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")
-    trial_fn, retryable, default_trials = _TRIAL_SUITES[name]
+    trial_fn, default_trials = _TRIAL_SUITES[name]
     count = default_trials if trials is None else trials
     sampler = Sampler(seed, max_degree, coeff_bound)
     failures = 0
-    retries = 0
     first: Optional[dict] = None
     flags: dict = {}
     for trial in range(count):
         outcome = trial_fn(sampler, flags)
-        attempts = 0
-        while outcome is not None and retryable and attempts < MAX_RETRIES:
-            attempts += 1
-            retries += 1
-            outcome = trial_fn(sampler, flags)
         if outcome is not None:
             failures += 1
             if first is None:
                 first = {"trial": trial, **outcome}
-    return SuiteResult(name, count, failures, retries, seed, first, flags)
+    return SuiteResult(name, count, failures, seed, first, flags)
 
 
 def run_suites(

@@ -7,6 +7,7 @@ from bcpoly import (
     Operator,
     Sampler,
     Signature,
+    annihilation_order,
     class_membership,
     classification_report,
     laplacian,
@@ -15,6 +16,7 @@ from bcpoly import (
     signature_by_iteration,
     wirtinger,
 )
+from bcpoly.operators import WIRTINGER_KINDS
 from bcpoly.polyfun import BicomplexFunction, Poly4
 
 from strategies import functions
@@ -45,6 +47,22 @@ def test_zero_function_has_order_zero():
 def test_identity_operator_is_not_nilpotent():
     with pytest.raises(NotNilpotent):
         polyharmonic_order(cross_term(), Operator.identity())
+    with pytest.raises(NotNilpotent):
+        annihilation_order(cross_term(), Operator.identity())
+
+
+# d1-d6 and the Wirtinger operators take the closed form, d7 the iteration
+ORDER_OPERATORS = [
+    op ** power
+    for op in [laplacian(i) for i in range(1, 8)] + [wirtinger(kind) for kind in WIRTINGER_KINDS]
+    for power in (1, 2, 3)
+]
+
+
+@given(functions())
+def test_annihilation_order_matches_iteration(f):
+    for op in ORDER_OPERATORS:
+        assert annihilation_order(f, op) == polyharmonic_order(f, op)
 
 
 def test_signature_examples():

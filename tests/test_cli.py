@@ -10,8 +10,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=ENV)
+def run_cli(*args, timeout=None):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=ENV, timeout=timeout)
 
 
 def test_eval_square_at_one_plus_j():
@@ -51,6 +51,15 @@ def test_expansion_limit_error_is_structured():
     assert result.returncode == 1
     payload = json.loads(result.stderr)
     assert payload["error"] == "ExprLimitError"
+    assert "limit of" in payload["message"]
+
+
+def test_evaluation_limit_error_is_structured():
+    # parsing is immediate; the refusal must come before any power table
+    result = run_cli("eval", "Z^1000000000", "--at", "1 + j", timeout=5)
+    assert result.returncode == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "EvalLimitError"
     assert "limit of" in payload["message"]
 
 

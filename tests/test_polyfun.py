@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 
-from bcpoly import Bicomplex, GaussianRational, E_PLUS, I, J, ONE
-from bcpoly.polyfun import BicomplexFunction, Poly4
+from bcpoly import Bicomplex, EvalLimitError, GaussianRational, E_PLUS, I, J, ONE
+from bcpoly.polyfun import MAX_EVAL_BITS, BicomplexFunction, Poly4
 
 from strategies import bicomplexes, conjugation_kinds, functions
 
@@ -64,6 +65,14 @@ def test_dagger_involution_and_real_fixed_point():
 def test_evaluate_square_at_one_plus_j():
     point = ONE + J
     assert (Z() ** 2).evaluate(point) == 2 * J
+
+
+def test_evaluation_work_is_bounded():
+    point = ONE + J  # alpha = 1 - i and beta = 1 + i: one bit each
+    top = MAX_EVAL_BITS  # each component of Z^e raises one coordinate to e
+    assert (Z() ** top).evaluate(point) == point ** top
+    with pytest.raises(EvalLimitError, match="limit of"):
+        (Z() ** (top + 1)).evaluate(point)
 
 
 def test_evaluate_at_zero_gives_constant_terms():

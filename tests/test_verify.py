@@ -1,5 +1,7 @@
 import pytest
 
+from bcpoly import classify
+from bcpoly.polyfun import Poly4
 from bcpoly.verify import DEFAULT_TRIALS, SUITE_NAMES, report_to_json, run_suite, run_suites
 
 
@@ -56,3 +58,22 @@ def test_result_shape_and_flags():
 def test_paper_examples_suite_counts_fixed_checks():
     result = run_suite("paper-examples", seed=0)
     assert result.trials == 7 and result.failures == 0
+
+
+def _assert_caught(names):
+    for name in names:
+        result = run_suite(name, trials=5, seed=0)
+        assert result.failures > 0, name
+        assert result.first_counterexample is not None, name
+
+
+def test_off_by_one_closed_form_order_is_caught(monkeypatch):
+    order_under = classify._order_under
+    monkeypatch.setattr(classify, "_order_under", lambda poly, kappa: order_under(poly, kappa) + 1)
+    _assert_caught(("classify-oracle", "almansi-roundtrip"))
+
+
+def test_wrong_sign_in_bar_is_caught(monkeypatch):
+    bar = Poly4.bar
+    monkeypatch.setattr(Poly4, "bar", lambda self: -bar(self))
+    _assert_caught(("fn-pointwise",))
