@@ -75,14 +75,14 @@ class ClassMembership:
     zstar_order: Optional[int]
 
 
-def polyharmonic_order(fn: BicomplexFunction, op: Operator, cap: Optional[int] = None) -> int:
+def polyharmonic_order(fn: BicomplexFunction, op: Operator) -> int:
     """Smallest p >= 0 with op^p fn = 0 (0 only for the zero function).
 
-    The cap guards against non-degree-lowering operators; every Laplacian
-    strictly lowers a degree functional so total degree + 2 always suffices.
+    Iteration stops after total degree + 2 applications, which guards
+    against non-degree-lowering operators; every Laplacian strictly lowers
+    a degree functional, so that many always suffice.
     """
-    if cap is None:
-        cap = fn.total_degree() + 2
+    cap = fn.total_degree() + 2
     count = 0
     current = fn
     while not current.is_zero():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from time import perf_counter
 
 from .bicomplex import BicomplexError
 from .classify import classification_report
@@ -30,7 +31,7 @@ from .expr import (
     parse_point,
 )
 from .operators import laplacian, wirtinger
-from .verify import SUITE_NAMES, report_to_json, run_suites
+from .verify import SUITE_NAMES, report_to_json, run_suite
 from .worked_examples import run_checks
 
 USAGE_ERROR = 2
@@ -173,13 +174,12 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in SUITE_NAMES:
             return _usage(f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)} or 'all'")
-    results = run_suites(
-        names,
-        trials=args.trials,
-        seed=args.seed,
-        max_degree=args.max_degree,
-        coeff_bound=args.coeff_bound,
-    )
+    results = []
+    for name in names:
+        start = perf_counter()
+        results.append(run_suite(name, args.trials, args.seed, args.max_degree, args.coeff_bound))
+        if args.timings:
+            print(f"{name}\t{perf_counter() - start:.3f} s", file=sys.stderr)
     print(report_to_json(results, indent=None if args.json else 2))
     return 0 if sum(result.failures for result in results) == 0 else FAILURE
 
@@ -232,6 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--coeff-bound", type=int, default=9)
+    p.add_argument(
+        "--timings",
+        action="store_true",
+        help="print each suite's wall seconds on stderr as it finishes (stdout is unchanged)",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("paper-examples", parents=[common], help="re-run the built-in worked examples")

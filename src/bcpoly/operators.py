@@ -131,26 +131,12 @@ class Operator:
     def apply(self, fn: BicomplexFunction) -> BicomplexFunction:
         """Componentwise action: (T f)_plus = T_plus f_plus, likewise minus."""
         return BicomplexFunction(
-            _apply_component(self.plus, fn.plus),
-            _apply_component(self.minus, fn.minus),
+            fn.plus.derive(self.plus),
+            fn.minus.derive(self.minus),
         )
 
     def __repr__(self):
         return f"Operator({self.plus!r}, {self.minus!r})"
-
-
-def _apply_component(op_poly: Poly4, target: Poly4) -> Poly4:
-    out = Poly4.zero()
-    for key, coeff in op_poly.terms.items():
-        piece = target
-        for var, times in enumerate(key):
-            if times:
-                piece = piece.diff(var, times)
-                if piece.is_zero():
-                    break
-        if not piece.is_zero():
-            out = out + piece.scale(coeff)
-    return out
 
 
 _D_ALPHA = Poly4.variable(0)

@@ -117,11 +117,12 @@ def _power_table(value: GaussianRational, top: int) -> tuple[list, int]:
     re, im = value.re, value.im
     d = lcm(re.denominator, im.denominator)
     p, q = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
-    powers = [(1, 0)]
+    powers, d_powers = [(1, 0)], [1]
     for _ in range(top):
         x, y = powers[-1]
         powers.append((x * p - y * q, x * q + y * p))
-    return [(x * d ** (top - e), y * d ** (top - e)) for e, (x, y) in enumerate(powers)], d ** top
+        d_powers.append(d_powers[-1] * d)
+    return [(x * d_powers[top - e], y * d_powers[top - e]) for e, (x, y) in enumerate(powers)], d_powers[top]
 
 
 class Poly4:
@@ -231,21 +232,42 @@ class Poly4:
                 return False
         return True
 
+    def derive(self, op: "Poly4") -> "Poly4":
+        """The image under ``op``, read as a constant-coefficient polynomial
+        in the derivatives d/d(var): each op term c*d^κ sends each term
+        a*x^e with every e_i >= κ_i to a*c*∏perm(e_i, κ_i) * x^(e-κ).
+
+        One pass over the (op term, term) pairs into one dict; a key that
+        cancels is deleted, so the terms come in the order of summing the
+        op terms' images one after another with ``+``.
+        """
+        out: dict[Monomial, GaussianRational] = {}
+        get = out.get
+        terms = self.terms.items()
+        for (k0, k1, k2, k3), c in op.terms.items():
+            for (e0, e1, e2, e3), coeff in terms:
+                if e0 < k0 or e1 < k1 or e2 < k2 or e3 < k3:
+                    continue
+                key = (e0 - k0, e1 - k1, e2 - k2, e3 - k3)
+                factor = perm(e0, k0) * perm(e1, k1) * perm(e2, k2) * perm(e3, k3)
+                term = coeff * GaussianRational(c.re * factor, c.im * factor)
+                acc = get(key)
+                if acc is not None:
+                    term = acc + term
+                    if term.is_zero():
+                        del out[key]
+                        continue
+                out[key] = term
+        return Poly4._raw(out)
+
     def diff(self, var: int, times: int = 1) -> "Poly4":
         if times < 0:
             raise ValueError("cannot differentiate a negative number of times")
         if times == 0:
             return self
-        out: dict[Monomial, GaussianRational] = {}
-        for key, coeff in self.terms.items():
-            e = key[var]
-            if e < times:
-                continue
-            factor = perm(e, times)
-            new_key = list(key)
-            new_key[var] = e - times
-            out[tuple(new_key)] = coeff * factor  # keys stay distinct: injective shift
-        return Poly4._raw(out)
+        kappa = [0, 0, 0, 0]
+        kappa[var] = times
+        return self.derive(Poly4.monomial(kappa))
 
     def substitute(self, values: tuple) -> GaussianRational:
         values = tuple(GaussianRational.coerce(v) for v in values)

@@ -426,7 +426,7 @@ def _trial_serialization(s: Sampler, flags: dict) -> Optional[dict]:
     return None
 
 
-def _run_paper_examples(trials: int, seed: int, max_degree: int, coeff_bound: int) -> SuiteResult:
+def _run_paper_examples(trials: int, seed: int) -> SuiteResult:
     if trials == 0:
         return SuiteResult("paper-examples", 0, 0, seed)
     checks = worked_examples.run_checks()
@@ -470,7 +470,7 @@ def run_suite(
 ) -> SuiteResult:
     if name == "paper-examples":
         count = DEFAULT_TRIALS[name] if trials is None else trials
-        return _run_paper_examples(count, seed, max_degree, coeff_bound)
+        return _run_paper_examples(count, seed)
     if name not in _TRIAL_SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")
     trial_fn, default_trials = _TRIAL_SUITES[name]

@@ -2,9 +2,13 @@
 
 These are the scalar loops that ``Poly4.__mul__``, ``Poly4.__pow__`` and
 ``Poly4.substitute`` ran before they moved to integer numerators over a
-common denominator.  Tests compare the kernels against them: equal values
-and the same term order.
+common denominator, and the per-variable derivative and the chain of
+derivatives, scales and sums that ``Poly4.diff`` and ``Operator.apply`` ran
+before the one-pass ``Poly4.derive``.  Tests compare the kernels against
+them: equal values and the same term order.
 """
+
+from math import perm
 
 from bcpoly import GaussianRational
 from bcpoly.polyfun import Poly4
@@ -47,3 +51,30 @@ def ref_substitute(p: Poly4, values) -> GaussianRational:
                 term = term * (values[var] ** e)
         total = total + term
     return total
+
+
+def ref_diff(p: Poly4, var: int, times: int) -> Poly4:
+    out = {}
+    for key, coeff in p.terms.items():
+        e = key[var]
+        if e < times:
+            continue
+        new_key = list(key)
+        new_key[var] = e - times
+        out[tuple(new_key)] = coeff * perm(e, times)  # keys stay distinct: injective shift
+    return Poly4._raw(out)
+
+
+def ref_apply(op_poly: Poly4, target: Poly4) -> Poly4:
+    """One component of ``Operator.apply``: op_poly applied to target."""
+    out = Poly4.zero()
+    for key, coeff in op_poly.terms.items():
+        piece = target
+        for var, times in enumerate(key):
+            if times:
+                piece = ref_diff(piece, var, times)
+                if piece.is_zero():
+                    break
+        if not piece.is_zero():
+            out = out + piece.scale(coeff)
+    return out

@@ -141,6 +141,18 @@ def test_verify_all_zero_trials_vacuous_pass():
     assert all(entry["trials"] == 0 for entry in payload["suites"])
 
 
+def test_verify_timings_go_to_stderr_only():
+    args = ("verify", "all", "--trials", "2", "--seed", "3")
+    plain = run_cli(*args)
+    timed = run_cli(*args, "--timings")
+    assert plain.returncode == timed.returncode == 0
+    assert timed.stdout == plain.stdout and plain.stderr == ""
+    names = [entry["name"] for entry in json.loads(plain.stdout)["suites"]]
+    rows = [line.split("\t") for line in timed.stderr.splitlines()]
+    assert [name for name, _ in rows] == names
+    assert all(seconds.endswith(" s") and float(seconds[:-2]) >= 0 for _, seconds in rows)
+
+
 def test_verify_unknown_suite_is_usage_error():
     result = run_cli("verify", "nosuch")
     assert result.returncode == 2

@@ -1,5 +1,5 @@
-"""The integer kernels of ``Poly4`` against the GaussianRational reference
-loops of ``reference_poly``, and the expression reader on a large round trip."""
+"""The kernels of ``Poly4`` against the GaussianRational reference loops of
+``reference_poly``, and the expression reader on a large round trip."""
 
 import random
 from fractions import Fraction
@@ -8,9 +8,10 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from bcpoly import GaussianRational, format_function, parse
+from bcpoly.operators import WIRTINGER_KINDS, laplacian, wirtinger
 from bcpoly.polyfun import BicomplexFunction, Poly4
 
-from reference_poly import ref_mul, ref_pow, ref_substitute
+from reference_poly import ref_apply, ref_diff, ref_mul, ref_pow, ref_substitute
 from strategies import gaussians, monomials
 
 # few distinct coefficients and low degrees, so that products collide on
@@ -55,6 +56,55 @@ def test_pow_matches_reference(p, n):
 @given(mixed_polys(), st.tuples(gaussians(), gaussians(), gaussians(), gaussians()))
 def test_substitute_matches_reference(p, values):
     assert p.substitute(values) == ref_substitute(p, values)
+
+
+def test_substitute_with_denominators_and_high_exponents():
+    rng = random.Random(3)
+
+    def coeff():
+        return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+
+    p = Poly4({tuple(rng.randint(0, 24) for _ in range(4)): coeff() for _ in range(12)})
+    assert max(p.degrees()) >= 20
+    a, b = GaussianRational(Fraction(1, 3), Fraction(2, 5)), GaussianRational(Fraction(3, 7), Fraction(5, 11))
+    values = (a, a.conjugate(), b, b.conjugate())
+    assert p.substitute(values) == ref_substitute(p, values)
+
+
+# the operator components in use: d1-d7, and the Wirtinger operators with
+# their squares and cubes
+_NAMED_OPERATORS = [laplacian(i) for i in range(1, 8)] + [wirtinger(kind) ** p for kind in WIRTINGER_KINDS for p in (1, 2, 3)]
+_NAMED_COMPONENTS = [part for op in _NAMED_OPERATORS for part in (op.plus, op.minus)]
+
+
+def operator_polys():
+    """Named components, random multi-term operators with complex
+    coefficients, and low-order ones whose images cancel."""
+    return st.one_of(
+        st.sampled_from(_NAMED_COMPONENTS),
+        st.dictionaries(monomials(2), gaussians(), min_size=1, max_size=4).map(Poly4),
+        st.dictionaries(monomials(1), _CANCELLING, min_size=1, max_size=4).map(Poly4),
+    )
+
+
+@given(operator_polys(), st.one_of(cancelling_polys(), mixed_polys()))
+def test_derive_matches_reference(op, p):
+    assert same(p.derive(op), ref_apply(op, p))
+
+
+def test_derive_key_that_cancels_and_comes_back_moves_to_the_end():
+    # d_a maps a -> 1 and a^2 -> 2a; -d_b maps b -> -1, cancelling the
+    # constant; d_ac maps ac -> 1, which brings it back after 2a
+    op = Poly4({(1, 0, 0, 0): 1, (0, 0, 1, 0): -1, (0, 1, 0, 0): 1})
+    p = Poly4({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1, (0, 1, 0, 0): 1, (2, 0, 0, 0): 1})
+    image = p.derive(op)
+    assert list(image.terms) == [(1, 0, 0, 0), (0, 0, 0, 0)]
+    assert same(image, ref_apply(op, p))
+
+
+@given(st.one_of(cancelling_polys(), mixed_polys()), st.integers(0, 3), st.integers(0, 4))
+def test_diff_matches_reference(p, var, times):
+    assert same(p.diff(var, times), ref_diff(p, var, times))
 
 
 def test_round_trip_above_a_thousand_terms():
