@@ -440,9 +440,6 @@ class Bicomplex:
                 terms.append(_signed_unit_term(coeff, unit))
         return _join_terms(terms)
 
-    def idempotent_str(self) -> str:
-        return f"{self.alpha} | {self.beta}"
-
     def __repr__(self):
         return f"Bicomplex({self.alpha!r}, {self.beta!r})"
 

@@ -76,14 +76,6 @@ class PreconditionViolation(BicomplexError):
         self.condition = condition
 
 
-def _function_star_dagger_tilde() -> tuple[BicomplexFunction, BicomplexFunction, BicomplexFunction]:
-    return (
-        BicomplexFunction.variable_star(),
-        BicomplexFunction.variable_dagger(),
-        BicomplexFunction.variable_tilde(),
-    )
-
-
 @dataclass(frozen=True)
 class ConjugateExpansion:
     """f = sum over (l1, l2, l3) of Z*^l1 Z~^l2 Zdagger^l3 times a
@@ -92,7 +84,9 @@ class ConjugateExpansion:
     coeffs: dict[tuple[int, int, int], BicomplexFunction]
 
     def reconstruct(self) -> BicomplexFunction:
-        star, dagger, tilde = _function_star_dagger_tilde()
+        star = BicomplexFunction.variable_star()
+        dagger = BicomplexFunction.variable_dagger()
+        tilde = BicomplexFunction.variable_tilde()
         total = BicomplexFunction.zero()
         for (l1, l2, l3), coeff in self.coeffs.items():
             total = total + (star ** l1) * (tilde ** l2) * (dagger ** l3) * coeff

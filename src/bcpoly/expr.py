@@ -79,8 +79,11 @@ MAX_NESTING = 100
 # x^e also counts e times the bits its numbers can gain per factor (log2 of
 # x's denominator and of the sum of |re| + |im| over its numerators), and a
 # call, which runs on Gaussian rationals, _CALL_PAIRS per term of its
-# argument, about its cost against the integer multiply.  The benchmark's
-# largest expression needs 26 thousand, (Z+star(Z)+1)^60 570 thousand.
+# argument, about its cost against the integer multiply.  A sum whose
+# common denominator grows rescales its accumulated terms, two multiplies
+# each against a term pair's four, so each rescale counts half their number.
+# The benchmark's largest expression needs 26 thousand, (Z+star(Z)+1)^60
+# 570 thousand.
 MAX_TERM_PAIRS = 800_000
 _CALL_PAIRS = 64
 
@@ -145,11 +148,13 @@ def _poly(form: tuple[dict, int]) -> Poly4:
     return Poly4._raw(_from_integer_form(*form))
 
 
-def _add_into(acc: dict, acc_den: int, nums: dict, den: int, sign: int) -> int:
+def _add_into(acc: dict, acc_den: int, nums: dict, den: int, sign: int, charge) -> int:
     """Add ``sign * nums/den`` to ``acc/acc_den`` in place; returns the new
-    common denominator of ``acc``."""
+    common denominator of ``acc``.  A new denominator rescales all of
+    ``acc``, which is charged to the work budget through ``charge``."""
     common = lcm(acc_den, den)
     if common != acc_den:
+        charge(len(acc) // 2)
         factor = common // acc_den
         for key, (re, im) in acc.items():
             acc[key] = (re * factor, im * factor)
@@ -253,7 +258,7 @@ class _Reader:
             sign = 1 if op == "+" else -1
             for c in comps:
                 nums, den = acc[c]
-                acc[c] = (nums, _add_into(nums, den, *term[c], sign))
+                acc[c] = (nums, _add_into(nums, den, *term[c], sign, self.charge))
         return tuple(acc)
 
     def term(self) -> tuple:
@@ -478,17 +483,25 @@ def _terms_from_json(data, path: str) -> Poly4:
     return Poly4._raw(terms)  # the checks above are those of Poly4()
 
 
+def _pair_to_json_obj(pair, keys: tuple[str, str]) -> dict:
+    """A (plus, minus) pair as an object with the term lists under ``keys``."""
+    return {keys[0]: _terms_to_json(pair.plus), keys[1]: _terms_to_json(pair.minus)}
+
+
+def _pair_from_json_obj(cls, obj, path: str, keys: tuple[str, str]):
+    """The ``cls`` pair of an object with exactly the two ``keys``."""
+    plus, minus = keys
+    if not isinstance(obj, dict) or set(obj) != {plus, minus}:
+        raise JsonFormatError(f"{path}: expected an object with keys '{plus}' and '{minus}'")
+    return cls(_terms_from_json(obj[plus], f"{path}.{plus}"), _terms_from_json(obj[minus], f"{path}.{minus}"))
+
+
 def function_to_json_obj(fn: BicomplexFunction) -> dict:
-    return {"plus": _terms_to_json(fn.plus), "minus": _terms_to_json(fn.minus)}
+    return _pair_to_json_obj(fn, ("plus", "minus"))
 
 
 def function_from_json_obj(obj, path: str = "function") -> BicomplexFunction:
-    if not isinstance(obj, dict) or set(obj) != {"plus", "minus"}:
-        raise JsonFormatError(f"{path}: expected an object with keys 'plus' and 'minus'")
-    return BicomplexFunction(
-        _terms_from_json(obj["plus"], f"{path}.plus"),
-        _terms_from_json(obj["minus"], f"{path}.minus"),
-    )
+    return _pair_from_json_obj(BicomplexFunction, obj, path, ("plus", "minus"))
 
 
 def function_to_json(fn: BicomplexFunction) -> str:
@@ -504,13 +517,8 @@ def function_from_json(text: str) -> BicomplexFunction:
 
 
 def operator_to_json_obj(op: Operator) -> dict:
-    return {"op_plus": _terms_to_json(op.plus), "op_minus": _terms_to_json(op.minus)}
+    return _pair_to_json_obj(op, ("op_plus", "op_minus"))
 
 
 def operator_from_json_obj(obj, path: str = "operator") -> Operator:
-    if not isinstance(obj, dict) or set(obj) != {"op_plus", "op_minus"}:
-        raise JsonFormatError(f"{path}: expected an object with keys 'op_plus' and 'op_minus'")
-    return Operator(
-        _terms_from_json(obj["op_plus"], f"{path}.op_plus"),
-        _terms_from_json(obj["op_minus"], f"{path}.op_minus"),
-    )
+    return _pair_from_json_obj(Operator, obj, path, ("op_plus", "op_minus"))

@@ -18,14 +18,19 @@ The four first-order operators diagonalize as
 (~ marking the conjugate-variable derivative), and the six second-order
 Laplacians are their pairwise products; the seventh is the sum of the first
 and the sixth.
+
+An operator is the same (plus, minus) pair type as a function
+(:mod:`bcpoly.polyfun`), so both share the componentwise ring operations and
+one conjugation rule: star_op, dagger_op and tilde_op act on the components
+as star, dagger and tilde act on a function's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bicomplex import GaussianRational
-from .polyfun import BicomplexFunction, Poly4
+from .bicomplex import DAGGER, STAR, TILDE, GaussianRational
+from .polyfun import BicomplexFunction, Poly4, _Pair
 
 __all__ = [
     "Operator",
@@ -42,20 +47,16 @@ STAR_OP = "star_op"
 DAGGER_OP = "dagger_op"
 TILDE_OP = "tilde_op"
 OP_CONJUGATION_KINDS = (STAR_OP, DAGGER_OP, TILDE_OP)
+# an operator conjugation acts on the components as the value conjugation
+_VALUE_KIND = {STAR_OP: STAR, DAGGER_OP: DAGGER, TILDE_OP: TILDE}
 
 WIRTINGER_KINDS = ("Z", "Zstar", "Zdagger", "Ztilde")
 
 
-class Operator:
+class Operator(_Pair):
     """A pair of derivative polynomials applied componentwise."""
 
-    __slots__ = ("plus", "minus")
-
-    def __init__(self, plus: Poly4, minus: Poly4):
-        if not isinstance(plus, Poly4) or not isinstance(minus, Poly4):
-            raise TypeError("operator components must be Poly4 instances")
-        self.plus = plus
-        self.minus = minus
+    __slots__ = ()
 
     @classmethod
     def scalar(cls, plus_coeff, minus_coeff) -> "Operator":
@@ -83,50 +84,24 @@ class Operator:
         part2 = (self.plus - self.minus).scale(GaussianRational(0, Fraction(1, 2)))
         return part1, part2
 
-    def is_zero(self) -> bool:
-        return self.plus.is_zero() and self.minus.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self.plus == other.plus and self.minus == other.minus
-
-    def __hash__(self):
-        return hash((self.plus, self.minus))
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.plus + other.plus, self.minus + other.minus)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return Operator(self.plus - other.plus, self.minus - other.minus)
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.plus, -self.minus)
-
     def __mul__(self, other: "Operator") -> "Operator":
         """Composition; commutative because all coefficients are constant."""
         if not isinstance(other, Operator):
             return NotImplemented
-        return Operator(self.plus * other.plus, self.minus * other.minus)
-
-    def __pow__(self, exponent: int) -> "Operator":
-        return Operator(self.plus ** exponent, self.minus ** exponent)
+        return self._mul(other)
 
     def scale(self, coeff) -> "Operator":
         coeff = GaussianRational.coerce(coeff)
         return Operator(self.plus.scale(coeff), self.minus.scale(coeff))
 
     def conjugate(self, kind: str) -> "Operator":
-        """Operational conjugation: dagger swaps the components, star bars
-        them (conjugating coefficients and swapping each derivative with its
-        conjugate partner), tilde does both."""
+        """Operational conjugation, by the pair rule of the value kind it
+        names: dagger swaps the components, star bars them (conjugating
+        coefficients and swapping each derivative with its conjugate
+        partner), tilde does both."""
         if kind not in OP_CONJUGATION_KINDS:
             raise ValueError(f"unknown operator conjugation {kind!r}; expected one of {OP_CONJUGATION_KINDS}")
-        if kind == DAGGER_OP:
-            return Operator(self.minus, self.plus)
-        if kind == STAR_OP:
-            return Operator(self.plus.bar(), self.minus.bar())
-        return Operator(self.minus.bar(), self.plus.bar())
+        return self._conj(_VALUE_KIND[kind])
 
     def apply(self, fn: BicomplexFunction) -> BicomplexFunction:
         """Componentwise action: (T f)_plus = T_plus f_plus, likewise minus."""
@@ -134,9 +109,6 @@ class Operator:
             fn.plus.derive(self.plus),
             fn.minus.derive(self.minus),
         )
-
-    def __repr__(self):
-        return f"Operator({self.plus!r}, {self.minus!r})"
 
 
 _D_ALPHA = Poly4.variable(0)

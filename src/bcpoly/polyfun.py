@@ -9,6 +9,11 @@ sparse polynomial in the four variables
 with Gaussian-rational coefficients.  Conjugations, real parts, evaluation
 and differentiation all act componentwise in this basis, which is what makes
 every operator in :mod:`bcpoly.operators` diagonal.
+
+Functions and operators share one pair type, ``_Pair``: the checked
+constructor, type-exact equality and hash, the componentwise ring operations
+and one conjugation rule (dagger swaps the components, star bars both, tilde
+does both).  Each subclass adds only its scalars and its action.
 """
 
 from __future__ import annotations
@@ -335,6 +340,57 @@ class Poly4:
         return f"Poly4({dict(self.sorted_terms())!r})"
 
 
+class _Pair:
+    """A (plus, minus) pair of ``Poly4``; equality is type-exact, so a
+    function never equals an operator with the same components."""
+
+    __slots__ = ("plus", "minus")
+
+    def __init__(self, plus: Poly4, minus: Poly4):
+        if not isinstance(plus, Poly4) or not isinstance(minus, Poly4):
+            raise TypeError(f"{type(self).__name__} components must be Poly4 instances")
+        self.plus = plus
+        self.minus = minus
+
+    def is_zero(self) -> bool:
+        return self.plus.is_zero() and self.minus.is_zero()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.plus == other.plus and self.minus == other.minus
+
+    def __hash__(self):
+        return hash((self.plus, self.minus))
+
+    def __add__(self, other):
+        return type(self)(self.plus + other.plus, self.minus + other.minus)
+
+    def __sub__(self, other):
+        return type(self)(self.plus - other.plus, self.minus - other.minus)
+
+    def __neg__(self):
+        return type(self)(-self.plus, -self.minus)
+
+    def __pow__(self, exponent: int):
+        return type(self)(self.plus ** exponent, self.minus ** exponent)
+
+    def _mul(self, other):
+        return type(self)(self.plus * other.plus, self.minus * other.minus)
+
+    def _conj(self, kind: str):
+        """Conjugation of a pair by the value kind: dagger swaps the
+        components, star bars both, tilde does both."""
+        if kind == DAGGER:
+            return type(self)(self.minus, self.plus)
+        if kind == STAR:
+            return type(self)(self.plus.bar(), self.minus.bar())
+        return type(self)(self.minus.bar(), self.plus.bar())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.plus!r}, {self.minus!r})"
+
+
 # component polynomials of the coordinate functions, as (plus, minus) pairs:
 #   Z      -> (alpha, beta)            Z^dagger -> (beta, alpha)
 #   Z^*    -> (conj a, conj b)         Z~       -> (conj b, conj a)
@@ -344,16 +400,10 @@ _COMPONENTS_ZS = (Poly4.variable(1), Poly4.variable(3))
 _COMPONENTS_ZT = (Poly4.variable(3), Poly4.variable(1))
 
 
-class BicomplexFunction:
+class BicomplexFunction(_Pair):
     """A polynomial map of the bicomplex plane, stored componentwise."""
 
-    __slots__ = ("plus", "minus")
-
-    def __init__(self, plus: Poly4, minus: Poly4):
-        if not isinstance(plus, Poly4) or not isinstance(minus, Poly4):
-            raise TypeError("components must be Poly4 instances")
-        self.plus = plus
-        self.minus = minus
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "BicomplexFunction":
@@ -386,32 +436,12 @@ class BicomplexFunction:
     def variable_tilde(cls) -> "BicomplexFunction":
         return cls(*_COMPONENTS_ZT)
 
-    def is_zero(self) -> bool:
-        return self.plus.is_zero() and self.minus.is_zero()
-
     def __bool__(self):
         return not self.is_zero()
 
-    def __eq__(self, other):
-        if not isinstance(other, BicomplexFunction):
-            return NotImplemented
-        return self.plus == other.plus and self.minus == other.minus
-
-    def __hash__(self):
-        return hash((self.plus, self.minus))
-
-    def __add__(self, other: "BicomplexFunction") -> "BicomplexFunction":
-        return BicomplexFunction(self.plus + other.plus, self.minus + other.minus)
-
-    def __sub__(self, other: "BicomplexFunction") -> "BicomplexFunction":
-        return BicomplexFunction(self.plus - other.plus, self.minus - other.minus)
-
-    def __neg__(self) -> "BicomplexFunction":
-        return BicomplexFunction(-self.plus, -self.minus)
-
     def __mul__(self, other) -> "BicomplexFunction":
         if isinstance(other, BicomplexFunction):
-            return BicomplexFunction(self.plus * other.plus, self.minus * other.minus)
+            return self._mul(other)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -425,9 +455,6 @@ class BicomplexFunction:
         q = Fraction(1, 1) / divisor
         return BicomplexFunction(self.plus.scale(q), self.minus.scale(q))
 
-    def __pow__(self, exponent: int) -> "BicomplexFunction":
-        return BicomplexFunction(self.plus ** exponent, self.minus ** exponent)
-
     def scale(self, value) -> "BicomplexFunction":
         """Multiply by a bicomplex scalar: alpha-part on plus, beta-part on minus."""
         value = Bicomplex.coerce(value)
@@ -437,11 +464,7 @@ class BicomplexFunction:
         """Pointwise conjugation of values: for every Z the conjugated function
         evaluates to ``conjugate(f(Z), kind)``."""
         _check_kind(kind)
-        if kind == DAGGER:
-            return BicomplexFunction(self.minus, self.plus)
-        if kind == STAR:
-            return BicomplexFunction(self.plus.bar(), self.minus.bar())
-        return BicomplexFunction(self.minus.bar(), self.plus.bar())
+        return self._conj(kind)
 
     def evaluate(self, point) -> Bicomplex:
         point = Bicomplex.coerce(point)
@@ -485,6 +508,3 @@ class BicomplexFunction:
     def total_degree(self) -> int:
         degs = [p.total_degree() for p in (self.plus, self.minus)]
         return max((d for d in degs if d is not None), default=0)
-
-    def __repr__(self):
-        return f"BicomplexFunction({self.plus!r}, {self.minus!r})"

@@ -178,6 +178,28 @@ def test_expansion_work_limit():
     assert len(f.plus.terms) == len(f.minus.terms) == 1891
 
 
+def _primes(count: int) -> list[int]:
+    primes, candidate = [], 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def test_sum_over_growing_denominators_is_charged():
+    # each new denominator rescales the whole sum so far; 4000 terms took
+    # 35 s before the rescaling counted against the limit
+    primes = _primes(4000)
+    start = time.perf_counter()
+    with pytest.raises(ExprLimitError, match=f"limit of {MAX_TERM_PAIRS} term pairs"):
+        parse(" + ".join(f"Z^{n}/{p}" for n, p in enumerate(primes)))
+    assert time.perf_counter() - start < 5
+    f = parse(" + ".join(f"Z^{n}/{p}" for n, p in enumerate(primes[:1000])))
+    assert list(f.plus.terms.items()) == [((n, 0, 0, 0), GaussianRational(Fraction(1, p))) for n, p in enumerate(primes[:1000])]
+    assert list(f.minus.terms.items()) == [((0, 0, n, 0), GaussianRational(Fraction(1, p))) for n, p in enumerate(primes[:1000])]
+
+
 # any string over the grammar's alphabet ends in a function or a domain
 # error; an example may expand up to the work limit, about half a second,
 # so the default deadline of hypothesis does not apply

@@ -132,3 +132,60 @@ def test_wirtinger_operators_commute_in_action(f):
         for b in kinds:
             da, db = wirtinger(a), wirtinger(b)
             assert da.apply(db.apply(f)) == db.apply(da.apply(f))
+
+
+# ---- the (plus, minus) pair contract shared with BicomplexFunction
+
+def test_operator_never_equals_a_function_with_the_same_components():
+    plus, minus = Poly4.variable(0), Poly4.variable(3).scale(2)
+    op, fn = Operator(plus, minus), BicomplexFunction(plus, minus)
+    assert op != fn and fn != op
+    assert not op == fn and not fn == op
+    copies = (Operator(Poly4.variable(0), minus.scale(1)), BicomplexFunction(plus, minus + Poly4.zero()))
+    for pair, copy in zip((op, fn), copies):
+        assert pair is not copy
+        assert pair == copy and hash(pair) == hash(copy)
+
+
+def test_operator_times_function_is_a_type_error():
+    with pytest.raises(TypeError):
+        wirtinger("Z") * BicomplexFunction.variable()
+    with pytest.raises(TypeError):
+        BicomplexFunction.variable() * wirtinger("Z")
+
+
+def test_unknown_conjugation_kind_names_each_vocabulary():
+    with pytest.raises(ValueError, match="unknown operator conjugation 'star'"):
+        wirtinger("Z").conjugate("star")
+    with pytest.raises(ValueError, match="unknown conjugation kind 'star_op'"):
+        BicomplexFunction.variable().conjugate("star_op")
+
+
+def test_components_must_be_poly4():
+    for cls in (Operator, BicomplexFunction):
+        with pytest.raises(TypeError):
+            cls(Poly4.zero(), 1)
+        with pytest.raises(TypeError):
+            cls({}, Poly4.zero())
+
+
+def test_repr_names_the_class():
+    assert repr(Operator(Poly4.zero(), Poly4.constant(2))) == (
+        "Operator(Poly4({}), Poly4({(0, 0, 0, 0): GaussianRational(Fraction(2, 1), Fraction(0, 1))}))"
+    )
+    assert repr(BicomplexFunction(Poly4.variable(1), Poly4.zero())) == (
+        "BicomplexFunction(Poly4({(0, 1, 0, 0): GaussianRational(Fraction(1, 1), Fraction(0, 1))}), Poly4({}))"
+    )
+
+
+def test_zero_operator_is_truthy_and_zero_function_is_not():
+    assert bool(Operator.scalar(0, 0)) is True
+    assert Operator.scalar(0, 0).is_zero()
+    assert bool(BicomplexFunction.zero()) is False
+
+
+@given(operators())
+def test_op_conjugation_follows_the_pair_rule(op):
+    assert op.conjugate("dagger_op") == Operator(op.minus, op.plus)
+    assert op.conjugate("star_op") == Operator(op.plus.bar(), op.minus.bar())
+    assert op.conjugate("tilde_op") == Operator(op.minus.bar(), op.plus.bar())

@@ -141,3 +141,10 @@ def test_product_evaluates_pointwise(f, g, z):
 def test_zero_coefficients_never_stored():
     p = Poly4({(1, 0, 0, 0): GaussianRational(1)}) + Poly4({(1, 0, 0, 0): GaussianRational(-1)})
     assert p.is_zero() and p.terms == {}
+
+
+@given(functions())
+def test_conjugation_follows_the_pair_rule(f):
+    assert f.conjugate("dagger") == BicomplexFunction(f.minus, f.plus)
+    assert f.conjugate("star") == BicomplexFunction(f.plus.bar(), f.minus.bar())
+    assert f.conjugate("tilde") == BicomplexFunction(f.minus.bar(), f.plus.bar())
