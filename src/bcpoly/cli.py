@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from time import perf_counter
 
@@ -169,6 +170,15 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _trial_percentiles(durations: list[float]) -> str:
+    """Trial count, then nearest-rank p50 and p90 trial seconds."""
+    if not durations:
+        return "0 trials\tp50 -\tp90 -"
+    ranked = sorted(durations)
+    p50, p90 = (ranked[math.ceil(q * len(ranked)) - 1] for q in (0.5, 0.9))
+    return f"{len(ranked)} trials\tp50 {p50:.6f} s\tp90 {p90:.6f} s"
+
+
 def cmd_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     for name in names:
@@ -176,10 +186,12 @@ def cmd_verify(args) -> int:
             return _usage(f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)} or 'all'")
     results = []
     for name in names:
+        durations: list[float] = []
         start = perf_counter()
-        results.append(run_suite(name, args.trials, args.seed, args.max_degree, args.coeff_bound))
+        on_trial = durations.append if args.timings else None
+        results.append(run_suite(name, args.trials, args.seed, args.max_degree, args.coeff_bound, on_trial))
         if args.timings:
-            print(f"{name}\t{perf_counter() - start:.3f} s", file=sys.stderr)
+            print(f"{name}\t{perf_counter() - start:.3f} s\t{_trial_percentiles(durations)}", file=sys.stderr)
     print(report_to_json(results, indent=None if args.json else 2))
     return 0 if sum(result.failures for result in results) == 0 else FAILURE
 
@@ -235,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timings",
         action="store_true",
-        help="print each suite's wall seconds on stderr as it finishes (stdout is unchanged)",
+        help="print each suite's wall seconds, trial count and p50/p90 trial seconds on stderr "
+        "as it finishes (stdout is unchanged)",
     )
     p.set_defaults(func=cmd_verify)
 

@@ -341,8 +341,9 @@ class Poly4:
 
 
 class _Pair:
-    """A (plus, minus) pair of ``Poly4``; equality is type-exact, so a
-    function never equals an operator with the same components."""
+    """A (plus, minus) pair of ``Poly4``; equality, ``+`` and ``-`` are
+    type-exact, so a function never equals, or adds to, an operator with the
+    same components."""
 
     __slots__ = ("plus", "minus")
 
@@ -364,9 +365,13 @@ class _Pair:
         return hash((self.plus, self.minus))
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return type(self)(self.plus + other.plus, self.minus + other.minus)
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return type(self)(self.plus - other.plus, self.minus - other.minus)
 
     def __neg__(self):

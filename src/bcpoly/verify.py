@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, Optional
 
 from . import worked_examples
@@ -467,7 +468,11 @@ def run_suite(
     seed: int = 0,
     max_degree: int = 4,
     coeff_bound: int = 9,
+    on_trial: Optional[Callable[[float], None]] = None,
 ) -> SuiteResult:
+    """Run one suite.  ``on_trial``, if given, receives each trial's wall
+    seconds as it finishes; the fixed ``paper-examples`` block has no
+    trials of its own and never calls it.  The result does not depend on it."""
     if name == "paper-examples":
         count = DEFAULT_TRIALS[name] if trials is None else trials
         return _run_paper_examples(count, seed)
@@ -480,7 +485,10 @@ def run_suite(
     first: Optional[dict] = None
     flags: dict = {}
     for trial in range(count):
+        start = perf_counter()
         outcome = trial_fn(sampler, flags)
+        if on_trial is not None:
+            on_trial(perf_counter() - start)
         if outcome is not None:
             failures += 1
             if first is None:

@@ -1,17 +1,24 @@
-"""Reference polynomial kernels on GaussianRational coefficients.
+"""Reference kernels on GaussianRational coefficients.
 
-These are the scalar loops that ``Poly4.__mul__``, ``Poly4.__pow__`` and
-``Poly4.substitute`` ran before they moved to integer numerators over a
-common denominator, and the per-variable derivative and the chain of
-derivatives, scales and sums that ``Poly4.diff`` and ``Operator.apply`` ran
-before the one-pass ``Poly4.derive``.  Tests compare the kernels against
-them: equal values and the same term order.
+``ref_gr_mul`` is the product of two Gaussian rationals on four ``Fraction``
+products, as ``GaussianRational.__mul__`` computed it before it moved to
+integer parts.  The others are the scalar loops that ``Poly4.__mul__``,
+``Poly4.__pow__`` and ``Poly4.substitute`` ran before they moved to integer
+numerators over a common denominator, and the per-variable derivative and
+the chain of derivatives, scales and sums that ``Poly4.diff`` and
+``Operator.apply`` ran before the one-pass ``Poly4.derive``.  Tests compare
+the kernels against them: equal values and the same term order.
 """
 
 from math import perm
 
 from bcpoly import GaussianRational
 from bcpoly.polyfun import Poly4
+
+
+def ref_gr_mul(x, y) -> GaussianRational:
+    x, y = GaussianRational.coerce(x), GaussianRational.coerce(y)
+    return GaussianRational(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
 
 
 def ref_mul(p: Poly4, q: Poly4) -> Poly4:

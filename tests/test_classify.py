@@ -11,13 +11,15 @@ from bcpoly import (
     class_membership,
     classification_report,
     laplacian,
+    pair_polyharmonic_order,
+    parse,
     polyharmonic_order,
     signature_by_degrees,
     signature_by_iteration,
     wirtinger,
 )
 from bcpoly.operators import WIRTINGER_KINDS
-from bcpoly.polyfun import BicomplexFunction, Poly4
+from bcpoly.polyfun import PAIR_ALPHA, BicomplexFunction, Poly4
 
 from strategies import functions
 
@@ -145,3 +147,12 @@ def test_first_kind_reword_of_kernel_class():
             lhs = sig.n <= 1 and sig.k <= 1 and sig.m <= level
             rhs = member.zstar_order is not None and member.zstar_order <= level
             assert lhs == rhs
+
+
+def test_minus_component_order_is_min_n_k_on_the_smallest_case():
+    # reproduction note: over the A2(m, n, k) basis the minus component's
+    # largest own-pair order is min(n, k), not min(m, n, k); the two differ
+    # when m < min(n, k), first at signature (1, 2, 2)
+    f = parse("0 | a*ac", raw=True)
+    assert signature_by_degrees(f) == Signature(1, 2, 2)
+    assert pair_polyharmonic_order(f.minus, PAIR_ALPHA) == 2

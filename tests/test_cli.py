@@ -149,8 +149,16 @@ def test_verify_timings_go_to_stderr_only():
     assert timed.stdout == plain.stdout and plain.stderr == ""
     names = [entry["name"] for entry in json.loads(plain.stdout)["suites"]]
     rows = [line.split("\t") for line in timed.stderr.splitlines()]
-    assert [name for name, _ in rows] == names
-    assert all(seconds.endswith(" s") and float(seconds[:-2]) >= 0 for _, seconds in rows)
+    assert [name for name, *_ in rows] == names
+    for name, seconds, count, p50, p90 in rows:
+        assert seconds.endswith(" s") and float(seconds[:-2]) >= 0
+        if name == "paper-examples":
+            # one fixed block of checks, with no trials of its own to time
+            assert (count, p50, p90) == ("0 trials", "p50 -", "p90 -")
+            continue
+        assert count == "2 trials"
+        low, high = (float(p.split()[1]) for p in (p50, p90))
+        assert p50.endswith(" s") and p90.endswith(" s") and 0 <= low <= high <= float(seconds[:-2]) + 0.001
 
 
 def test_verify_unknown_suite_is_usage_error():

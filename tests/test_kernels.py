@@ -1,5 +1,6 @@
-"""The kernels of ``Poly4`` against the GaussianRational reference loops of
-``reference_poly``, and the expression reader on a large round trip."""
+"""The Gaussian-rational product and the kernels of ``Poly4`` against the
+reference routines of ``reference_poly``, and the expression reader on a
+large round trip."""
 
 import random
 from fractions import Fraction
@@ -11,8 +12,42 @@ from bcpoly import GaussianRational, format_function, parse
 from bcpoly.operators import WIRTINGER_KINDS, laplacian, wirtinger
 from bcpoly.polyfun import BicomplexFunction, Poly4
 
-from reference_poly import ref_apply, ref_diff, ref_mul, ref_pow, ref_substitute
-from strategies import gaussians, monomials
+from reference_poly import ref_apply, ref_diff, ref_gr_mul, ref_mul, ref_pow, ref_substitute
+from strategies import fractions_small, gaussians, monomials
+
+
+def big_fractions():
+    """A denominator of 256 to 4096 bits over a numerator of up to as many."""
+    return st.integers(256, 4096).flatmap(
+        lambda bits: st.builds(Fraction, st.integers(-(1 << bits), 1 << bits), st.integers(1 << (bits - 1), 1 << bits))
+    )
+
+
+def gaussian_products():
+    """Operand pairs with zero, small and large parts, an int or Fraction on
+    either side, and pairs whose product has a real or imaginary part that
+    cancels to zero."""
+    parts = st.one_of(st.just(Fraction(0)), fractions_small(), big_fractions())
+    gaussian = st.builds(GaussianRational, parts, parts)
+    scalar = st.one_of(st.integers(-(10 ** 30), 10 ** 30), fractions_small(), big_fractions())
+    return st.one_of(
+        st.tuples(gaussian, gaussian),
+        st.tuples(gaussian, scalar),
+        st.tuples(scalar, gaussian),
+        gaussian.map(lambda g: (g, g.conjugate())),
+        gaussian.map(lambda g: (g, GaussianRational(g.im, g.re))),
+    )
+
+
+@given(gaussian_products())
+def test_gaussian_product_matches_reference(pair):
+    x, y = pair
+    product, expected = x * y, ref_gr_mul(x, y)
+    assert (product.re, product.im) == (expected.re, expected.im)
+    assert type(product.re) is Fraction and type(product.im) is Fraction
+    if product.im == 0:
+        assert hash(product) == hash(product.re)
+
 
 # few distinct coefficients and low degrees, so that products collide on
 # keys and cancel to zero, some mid-sum and then come back

@@ -154,6 +154,14 @@ def test_operator_times_function_is_a_type_error():
         BicomplexFunction.variable() * wirtinger("Z")
 
 
+@pytest.mark.parametrize("combine", [lambda x, y: x + y, lambda x, y: x - y], ids=["add", "sub"])
+def test_function_and_operator_do_not_add_or_subtract(combine):
+    fn, op = BicomplexFunction.variable(), wirtinger("Z")
+    for left, right in ((fn, op), (op, fn)):
+        with pytest.raises(TypeError):
+            combine(left, right)
+
+
 def test_unknown_conjugation_kind_names_each_vocabulary():
     with pytest.raises(ValueError, match="unknown operator conjugation 'star'"):
         wirtinger("Z").conjugate("star")

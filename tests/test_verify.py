@@ -2,7 +2,7 @@ from math import perm
 
 import pytest
 
-from bcpoly import classify, polyfun
+from bcpoly import GaussianRational, classify, polyfun
 from bcpoly.polyfun import Poly4
 from bcpoly.verify import DEFAULT_TRIALS, SUITE_NAMES, report_to_json, run_suite, run_suites
 
@@ -88,3 +88,27 @@ def test_wrong_falling_factorial_in_derive_is_caught(monkeypatch):
     # each of seeds 0, 1 and 2.
     monkeypatch.setattr(polyfun, "perm", lambda e, k: perm(e, k) + (e >= 2))
     _assert_caught(("fn-pointwise",))
+
+
+def test_wrong_sign_in_gaussian_product_is_caught(monkeypatch):
+    # (a + b*i)(c + d*i) with imaginary part a*d - b*c: wrong whenever
+    # b*c != 0, so a real left factor still multiplies correctly
+    mul = GaussianRational.__mul__
+
+    def wrong_sign(self, other):
+        other = GaussianRational.coerce(other)
+        return GaussianRational(mul(self, other).re, self.re * other.im - self.im * other.re)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", wrong_sign)
+    monkeypatch.setattr(GaussianRational, "__rmul__", wrong_sign)
+    _assert_caught(("core-algebra", "fn-pointwise"))
+
+
+def test_trial_callback_sees_every_trial_and_leaves_the_report_alone():
+    durations = []
+    timed = run_suite("fn-pointwise", trials=6, seed=3, on_trial=durations.append)
+    assert len(durations) == 6 and all(d >= 0 for d in durations)
+    assert timed.to_json_obj() == run_suite("fn-pointwise", trials=6, seed=3).to_json_obj()
+    untimed = []
+    run_suite("paper-examples", seed=0, on_trial=untimed.append)
+    assert untimed == []
