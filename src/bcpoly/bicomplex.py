@@ -12,9 +12,10 @@ the unit-basis quadruple ``(1, i, j, k)`` are derived views:
 
 All coefficients are Gaussian rationals (exact rational real and imaginary
 parts), so every identity in this package is decided by exact equality.
-A product of two Gaussian rationals is computed on the integer numerators
-and denominators of their parts: each part of the result is one integer
-numerator over the common denominator of the four parts, reduced once.
+A product of two Gaussian rationals, times an optional integer factor, is
+computed on the integer numerators and denominators of their parts: each
+part of the result is one integer numerator over the common denominator of
+the four parts, reduced once.
 Only when a part's denominator passes ``_MUL_DEN_BITS`` bits does the
 product fall back to ``Fraction``'s cross-reduced operators, which win there.
 """
@@ -124,11 +125,10 @@ class GaussianRational:
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        out = _operand(value)
+        if out is NotImplemented:
+            raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        return out
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -149,47 +149,62 @@ class GaussianRational:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         return GaussianRational(self.re / n, -self.im / n)
 
+    # Each operator takes an int, a Fraction or a GaussianRational and leaves
+    # any other operand type to that operand's reflected method.
+
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return other
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return other
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return other
+        return other - self
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other):
-        """(a + b*i)(c + d*i) on the integer numerators and denominators of
-        the four parts: each part of the product is one numerator over the
-        common denominator ad*bd*cd*dd, reduced once by ``Fraction``."""
-        if type(other) is not GaussianRational:
-            other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return other
+        return self._times(other, 1)
+
+    __rmul__ = __mul__
+
+    def _times(self, other: "GaussianRational", k: int) -> "GaussianRational":
+        """k*(a + b*i)(c + d*i) for an int k, on the integer numerators and
+        denominators of the four parts: each part of the product is one
+        numerator over the common denominator ad*bd*cd*dd, reduced once by
+        ``Fraction``."""
         a, b, c, d = self.re, self.im, other.re, other.im
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
         cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
         if (ad | bd | cd | dd).bit_length() > _MUL_DEN_BITS:
-            return GaussianRational(a * c - b * d, a * d + b * c)
+            return GaussianRational((a * c - b * d) * k, (a * d + b * c) * k)
         den = ad * bd * cd * dd
         p, q = an * cn, bn * dn
-        re = Fraction(p * bd * dd - q * ad * cd, den) if p or q else _FRACTION_ZERO
+        re = Fraction((p * bd * dd - q * ad * cd) * k, den) if p or q else _FRACTION_ZERO
         p, q = an * dn, bn * cn
-        im = Fraction(p * bd * cd + q * ad * dd, den) if p or q else _FRACTION_ZERO
+        im = Fraction((p * bd * cd + q * ad * dd) * k, den) if p or q else _FRACTION_ZERO
         return GaussianRational(re, im)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        return self * GaussianRational.coerce(other).inverse()
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return other
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return other
+        return other * self.inverse()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -247,6 +262,16 @@ class GaussianRational:
         re = _fraction_from_strings(data[0], data[1], f"{path}[0:2]")
         im = _fraction_from_strings(data[2], data[3], f"{path}[2:4]")
         return cls(re, im)
+
+
+def _operand(value):
+    """``value`` as a Gaussian rational when it is an int, a Fraction or one
+    already; NotImplemented for any other type."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return GaussianRational(value)
+    return NotImplemented
 
 
 GR_ZERO = GaussianRational(0)

@@ -30,8 +30,11 @@ the text.
 
 The canonical text for a function is ``plus-poly | minus-poly`` with
 monomials in ascending lexicographic exponent order; parsing the canonical
-text in raw mode restores the function exactly.  The JSON codecs are
-bit-exact round trips over the same sorted term lists.
+text in raw mode restores the function exactly.  Such text is read one
+printed term per match of ``_CANONICAL_TERM``, with the reader's results,
+work charges, limits and errors: at the first text that is not a printed
+term, the reader reads the whole text.  The JSON codecs are bit-exact round
+trips over the same sorted term lists.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 
 from .bicomplex import Bicomplex, BicomplexError, GaussianRational
 from .bicomplex import DAGGER, E_MINUS, E_PLUS, I, J, K, STAR, TILDE
@@ -173,7 +176,19 @@ def _add_into(acc: dict, acc_den: int, nums: dict, den: int, sign: int, charge) 
     return common
 
 
-class _Reader:
+class _Budget:
+    """The expansion work of one parse, charged against ``MAX_TERM_PAIRS``."""
+
+    def __init__(self):
+        self.work = 0
+
+    def charge(self, pairs: int) -> None:
+        self.work += pairs
+        if self.work > MAX_TERM_PAIRS:
+            raise ExprLimitError(f"expansion needs more than the limit of {MAX_TERM_PAIRS} term pairs")
+
+
+class _Reader(_Budget):
     """Recursive descent over the lexemes of one text.
 
     Each rule returns a value: a pair of integer forms ``(nums, den)``, one
@@ -185,6 +200,7 @@ class _Reader:
     """
 
     def __init__(self, text: str, raw: bool):
+        super().__init__()
         self.text = text
         self.tokens = _LEXEME.findall(text)
         if not all(token.isdecimal() for token in set(self.tokens) - _KNOWN):
@@ -198,7 +214,6 @@ class _Reader:
         self.raw = raw
         self.index = 0
         self.depth = 0
-        self.work = 0
 
     def error(self, message: str, index: int | None = None) -> ExprSyntaxError:
         """A syntax error at the token ``index`` (default: the current one)."""
@@ -218,13 +233,6 @@ class _Reader:
             raise self.error(f"expected 'int', found {_kind(token)!r}")
         self.index += 1
         return int(token)
-
-    # ---- work budget
-
-    def charge(self, pairs: int) -> None:
-        self.work += pairs
-        if self.work > MAX_TERM_PAIRS:
-            raise ExprLimitError(f"expansion needs more than the limit of {MAX_TERM_PAIRS} term pairs")
 
     def mul(self, a: dict, b: dict) -> dict:
         self.charge(len(a) * len(b))
@@ -375,6 +383,65 @@ class _Reader:
         raise self.error(f"expected an atom, found {_kind(token)!r}", start)
 
 
+# One term of the canonical text per match, as format_poly prints it: the
+# separator, or the first term's sign; a mixed, imaginary or real coefficient;
+# then the monomial's factors in order, each after a '*' when a coefficient or
+# factor precedes it.  Numbers have no zero, no leading zero and no 1 before
+# '*'; exponents are at least 2.
+_NUMBER = r"(?!1\*)([1-9]\d*)(?:/([1-9]\d*))?"
+_POWER = r"(\^(?!1(?!\d))[1-9]\d*|)"
+_FACTOR = r"(?:(?<=[\w)])\*|(?<![\w)]))"
+_CANONICAL_TERM = re.compile(
+    rf"( [+-] |-(?!\()|)(?=[\w(])(?:\((-?){_NUMBER}([+-])(?:{_NUMBER}\*)?i\)|(?:{_NUMBER}\*)?(i)|{_NUMBER})?"
+    rf"(?:{_FACTOR}a(?!c){_POWER})?(?:{_FACTOR}ac{_POWER})?(?:{_FACTOR}b(?!c){_POWER})?(?:{_FACTOR}bc{_POWER})?"
+    r"(?= [+-] |\Z)"
+)
+
+
+def _read_canonical(text: str, budget: _Budget) -> tuple | None:
+    """The integer forms that ``_Reader(text, True).read()`` gives for the
+    canonical text of a function, read one term per match and summed with
+    the reader's ``_add_into`` and charges; None at the first thing that is
+    not a canonical term, for the reader to read the whole text."""
+    mid = text.find(" | ") if isinstance(text, str) else -1
+    if mid < 0:
+        return None
+    value = []
+    try:
+        for pos, end in ((0, mid), (mid + 3, len(text))):
+            nums = None
+            if end == pos + 1 and text[pos] == "0":
+                nums, den, pos = {}, 1, end
+            while pos < end:
+                match = _CANONICAL_TERM.match(text, pos, end)
+                if match is None or (nums is None) == (len(match[1]) == 3):
+                    return None
+                pos = match.end()
+                sep, re_sign, re_n, re_d, im_sign, im_n, im_d, i_n, i_d, i, r_n, r_d, *powers = match.groups()
+                if re_n is None:  # not (re+im*i): an imaginary or a real coefficient
+                    re_n, re_d, im_n, im_d = ("0", None, i_n, i_d) if i else (r_n or "1", r_d, "0", None)
+                re, re_den, im, im_den = int(re_n), int(re_d or 1), int(im_n or 1), int(im_d or 1)
+                if "1" in (re_d, im_d) or gcd(re, re_den) != 1 or gcd(im, im_den) != 1:
+                    return None
+                term_den = lcm(re_den, im_den)
+                re *= -(term_den // re_den) if re_sign else term_den // re_den
+                im *= -(term_den // im_den) if im_sign == "-" else term_den // im_den
+                key = tuple([0 if p is None else int(p[1:] or 1) for p in powers])
+                if nums is None:
+                    nums, den = ({key: (-re, -im)} if sep else {key: (re, im)}), term_den
+                else:
+                    den = _add_into(nums, den, {key: (re, im)}, term_den, -1 if sep == " - " else 1, budget.charge)
+            if nums is None:
+                return None
+            value.append((nums, den))
+    except ValueError:  # a number past int's digit limit, which the reader reports
+        return None
+    except ExprLimitError:
+        _Reader(text, True)  # the reader reports a bad token anywhere before its limit
+        raise
+    return tuple(value)
+
+
 def parse(text: str, raw: bool = False) -> BicomplexFunction:
     """Parse an expression into canonical componentwise form.
 
@@ -383,7 +450,8 @@ def parse(text: str, raw: bool = False) -> BicomplexFunction:
     malformed text and ``ExprLimitError`` when the expansion would need more
     than ``MAX_TERM_PAIRS`` term pairs.
     """
-    plus, minus = _Reader(text, raw).read()
+    value = _read_canonical(text, _Budget()) if raw else None
+    plus, minus = value or _Reader(text, raw).read()
     return BicomplexFunction(_poly(plus), _poly(minus))
 
 

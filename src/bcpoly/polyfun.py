@@ -255,7 +255,7 @@ class Poly4:
                     continue
                 key = (e0 - k0, e1 - k1, e2 - k2, e3 - k3)
                 factor = perm(e0, k0) * perm(e1, k1) * perm(e2, k2) * perm(e3, k3)
-                term = coeff * GaussianRational(c.re * factor, c.im * factor)
+                term = coeff._times(c, factor)
                 acc = get(key)
                 if acc is not None:
                     term = acc + term

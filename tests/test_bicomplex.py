@@ -187,3 +187,24 @@ def test_hash_agrees_with_equality(g):
     if g.is_real():
         assert hash(g) == hash(g.re)
         assert hash(Hyperbolic(g.re, g.re)) == hash(g)
+
+
+@given(gaussians(), bicomplexes())
+def test_gaussian_and_bicomplex_operands_mix_in_either_order(g, z):
+    # a Gaussian rational leaves a Bicomplex operand to Bicomplex, which
+    # reads it as the value g*1
+    as_bicomplex = Bicomplex(g, g)
+    assert g * z == z * g == as_bicomplex * z
+    assert g + z == z + g == as_bicomplex + z
+    assert g - z == as_bicomplex - z
+    assert z - g == z - as_bicomplex
+
+
+def test_gaussian_rational_refuses_other_operand_types():
+    for value in ("x", 1.5, None):
+        for op in (lambda g: g + value, lambda g: value + g, lambda g: g - value, lambda g: value - g,
+                   lambda g: g * value, lambda g: value * g, lambda g: g / value, lambda g: value / g):
+            with pytest.raises(TypeError):
+                op(GaussianRational(1))
+    with pytest.raises(TypeError):
+        GaussianRational.coerce("x")

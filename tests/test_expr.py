@@ -1,4 +1,6 @@
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -19,11 +21,12 @@ from bcpoly import (
     parse_point,
 )
 from bcpoly.expr import MAX_NESTING, MAX_TERM_PAIRS, function_from_json_obj, function_to_json_obj, operator_from_json_obj, operator_to_json_obj
+from bcpoly.expr import _Budget, _poly, _Reader, _read_canonical
 from bcpoly.operators import laplacian
 from bcpoly.polyfun import BicomplexFunction, Poly4
 from bcpoly.sampling import Sampler
 
-from strategies import functions
+from strategies import functions, monomials
 
 from test_polyfun import ALPHA, ALPHA_BAR, BETA, BETA_BAR, cross_term, realizer
 
@@ -297,3 +300,122 @@ def test_seeded_round_trip_bulk():
         f = sampler.function()
         assert parse(format_function(f), raw=True) == f
         assert function_from_json(function_to_json(f)) == f
+
+
+# ---- canonical text: the term kernel against the reader
+
+
+def _forms(value):
+    return [(list(nums.items()), den) for nums, den in value]
+
+
+def _assert_kernel_reads_as_reader(text):
+    budget, reader = _Budget(), _Reader(text, True)
+    kernel = _read_canonical(text, budget)
+    assert kernel is not None
+    assert _forms(kernel) == _forms(reader.read())
+    assert budget.work == reader.work
+
+
+def _big_parts():
+    bits = st.integers(min_value=256, max_value=4096)
+    number = bits.flatmap(lambda b: st.integers(min_value=2 ** (b - 1), max_value=2 ** b - 1))
+    return st.builds(lambda n, d, sign: Fraction(sign * n, d), number, number | st.just(1), st.sampled_from((1, -1)))
+
+
+def _big_functions():
+    coeff = st.builds(GaussianRational, _big_parts() | st.just(0), _big_parts() | st.just(0))
+    poly = st.dictionaries(monomials(), coeff, max_size=4).map(Poly4)
+    return st.builds(BicomplexFunction, poly, poly)
+
+
+@settings(deadline=None)
+@given(functions() | _big_functions())
+def test_canonical_kernel_gives_the_readers_forms_and_work(f):
+    _assert_kernel_reads_as_reader(format_function(f))
+
+
+def _outcome(read, text):
+    try:
+        plus, minus = read(text)
+    except (BicomplexError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    return list(plus.terms.items()), list(minus.terms.items())
+
+
+def _assert_parses_as_reader(text):
+    def via_kernel(text):
+        fn = parse(text, raw=True)
+        return fn.plus, fn.minus
+
+    def via_reader(text):
+        return map(_poly, _Reader(text, True).read())
+
+    assert _outcome(via_kernel, text) == _outcome(via_reader, text)
+
+
+_NEAR_MISSES = ["0*a | 0", "2/4*a | 0", "a/0 | 0", "007*a | 0", "a*a | 0", "(0+i) | 0", "a + | 0", "a + b + | 0",
+                "3/1*a | 0", "1*a | 0", "(1+1*i)*b | 0", "a^1 | 0", "b*a | 0", "3i | 0", "a  + b | 0", "a-b | 0",
+                "-(1+i) | 0", "a | 0 | 0", "a | b + ", "0 | ", " | 0", "a\n | 0", "0 | a\n", "a + 2/4*b^2 + ? | 0",
+                "7" * 5000 + "*a | 0"]  # past int's digit limit
+
+
+@pytest.mark.parametrize("text", _NEAR_MISSES)
+def test_non_canonical_text_parses_as_the_reader_reads_it(text):
+    assert _read_canonical(text, _Budget()) is None
+    _assert_parses_as_reader(text)
+
+
+@settings(deadline=None)
+@given(functions(), st.data())
+def test_near_canonical_text_parses_as_the_reader_reads_it(f, data):
+    text = format_function(f)
+    pos = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
+    edit = data.draw(st.sampled_from(["", text[pos] * 2, *"0123456789/+-*^() |iabc"]))
+    _assert_parses_as_reader(text[:pos] + edit + text[pos + 1:])
+
+
+def _canonical_sum(coeffs) -> str:
+    """The canonical text of the sum of coeffs[n]*a^n, on the plus side."""
+    terms = {(n, 0, 0, 0): GaussianRational(*c) for n, c in enumerate(coeffs)}
+    return format_function(BicomplexFunction(Poly4(terms), Poly4.zero()))
+
+
+def test_canonical_sum_over_growing_denominators_is_charged():
+    # the canonical form of the sum in test_sum_over_growing_denominators_is_charged
+    primes = _primes(4000)
+    text = _canonical_sum([Fraction(1, p)] for p in primes)
+    start = time.perf_counter()
+    with pytest.raises(ExprLimitError, match=f"limit of {MAX_TERM_PAIRS} term pairs"):
+        parse(text, raw=True)
+    assert time.perf_counter() - start < 5
+    # a bad token anywhere is reported before the limit, as the reader does
+    with pytest.raises(ExprSyntaxError, match="unexpected character '[?]'"):
+        parse(text + " ?", raw=True)
+    text = _canonical_sum([Fraction(1, p)] for p in primes[:1000])
+    _assert_kernel_reads_as_reader(text)
+    f = parse(text, raw=True)
+    assert list(f.plus.terms.items()) == [((n, 0, 0, 0), GaussianRational(Fraction(1, p))) for n, p in enumerate(primes[:1000])]
+    assert f.minus.is_zero()
+
+
+def _peak_bytes(read, text) -> int:
+    tracemalloc.start()
+    try:
+        read(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_canonical_kernel_peaks_below_the_reader():
+    # 2000 terms with coefficients like the benchmark's, denominators
+    # dividing 6^11; a whole-text regex match peaks far above the reader
+    rng = random.Random(0)
+
+    def part():
+        return Fraction(rng.choice((1, -1)) * rng.randrange(1, 10 ** 8), 2 ** rng.randrange(12) * 3 ** rng.randrange(12))
+
+    text = _canonical_sum((part(), part()) for _ in range(2000))
+    _assert_kernel_reads_as_reader(text)
+    assert _peak_bytes(lambda t: _read_canonical(t, _Budget()), text) < _peak_bytes(lambda t: _Reader(t, True).read(), text)

@@ -39,14 +39,18 @@ def gaussian_products():
     )
 
 
-@given(gaussian_products())
-def test_gaussian_product_matches_reference(pair):
+@given(gaussian_products(), st.integers(min_value=1, max_value=10 ** 6))
+def test_gaussian_product_matches_reference(pair, k):
     x, y = pair
     product, expected = x * y, ref_gr_mul(x, y)
     assert (product.re, product.im) == (expected.re, expected.im)
     assert type(product.re) is Fraction and type(product.im) is Fraction
     if product.im == 0:
         assert hash(product) == hash(product.re)
+    # times a falling-factorial factor k, as Poly4.derive multiplies
+    scaled = GaussianRational.coerce(x)._times(GaussianRational.coerce(y), k)
+    assert (scaled.re, scaled.im) == (expected.re * k, expected.im * k)
+    assert type(scaled.re) is Fraction and type(scaled.im) is Fraction
 
 
 # few distinct coefficients and low degrees, so that products collide on

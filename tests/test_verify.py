@@ -2,7 +2,7 @@ from math import perm
 
 import pytest
 
-from bcpoly import GaussianRational, classify, polyfun
+from bcpoly import GaussianRational, classify, expr, polyfun
 from bcpoly.polyfun import Poly4
 from bcpoly.verify import DEFAULT_TRIALS, SUITE_NAMES, report_to_json, run_suite, run_suites
 
@@ -102,6 +102,30 @@ def test_wrong_sign_in_gaussian_product_is_caught(monkeypatch):
     monkeypatch.setattr(GaussianRational, "__mul__", wrong_sign)
     monkeypatch.setattr(GaussianRational, "__rmul__", wrong_sign)
     _assert_caught(("core-algebra", "fn-pointwise"))
+
+
+def test_wrong_sign_in_operator_products_is_caught(monkeypatch):
+    # the same wrong imaginary part, only in the products that carry a
+    # falling-factorial factor, which Poly4.derive alone makes
+    times = GaussianRational._times
+
+    def wrong_sign(self, other, k):
+        right = times(self, other, k)
+        return right if k == 1 else GaussianRational(right.re, k * (self.re * other.im - self.im * other.re))
+
+    monkeypatch.setattr(GaussianRational, "_times", wrong_sign)
+    _assert_caught(("fn-pointwise",))
+
+
+def test_wrong_sign_in_canonical_kernel_is_caught(monkeypatch):
+    read = expr._read_canonical
+
+    def flipped(text, budget):
+        value = read(text, budget)
+        return value and tuple(({key: (re, -im) for key, (re, im) in nums.items()}, den) for nums, den in value)
+
+    monkeypatch.setattr(expr, "_read_canonical", flipped)
+    _assert_caught(("serialization",))
 
 
 def test_trial_callback_sees_every_trial_and_leaves_the_report_alone():
