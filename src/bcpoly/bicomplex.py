@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 __all__ = [
@@ -134,7 +135,7 @@ class GaussianRational:
         return GaussianRational(self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re.numerator and not self.im.numerator
 
     def is_real(self) -> bool:
         return self.im == 0
@@ -211,17 +212,30 @@ class GaussianRational:
             raise TypeError("exponent must be an integer")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = GaussianRational(1)
-        base = self
+        # (p + q*i)^e over d^e, d the common denominator of the parts, by
+        # repeated squaring on the integers p and q, reduced once per part
+        re, im = self.re, self.im
+        d = lcm(re.denominator, im.denominator)
+        p, q = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        x, y = 1, 0
         n = exponent
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                x, y = x * p - y * q, x * q + y * p
             n >>= 1
-        return out
+            if n:
+                p, q = p * p - q * q, 2 * p * q
+        den = d ** exponent
+        return GaussianRational(Fraction(x, den), Fraction(y, den))
 
     def __eq__(self, other):
+        if type(other) is GaussianRational:
+            # parts are in lowest terms, so equal parts have equal integers
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return (
+                a.numerator == c.numerator and b.numerator == d.numerator
+                and a.denominator == c.denominator and b.denominator == d.denominator
+            )
         if isinstance(other, (int, Fraction)):
             other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
@@ -335,8 +349,8 @@ class Bicomplex:
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha=0, beta=0):
-        self.alpha = GaussianRational.coerce(alpha)
-        self.beta = GaussianRational.coerce(beta)
+        self.alpha = alpha if type(alpha) is GaussianRational else GaussianRational.coerce(alpha)
+        self.beta = beta if type(beta) is GaussianRational else GaussianRational.coerce(beta)
 
     @classmethod
     def from_cartesian(cls, z1, z2) -> "Bicomplex":
@@ -467,10 +481,11 @@ class Bicomplex:
         return self.alpha.is_zero() and self.beta.is_zero()
 
     def __eq__(self, other):
-        try:
-            other = Bicomplex.coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not Bicomplex:
+            try:
+                other = Bicomplex.coerce(other)
+            except TypeError:
+                return NotImplemented
         return self.alpha == other.alpha and self.beta == other.beta
 
     def __hash__(self):

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from itertools import islice
 from math import gcd, lcm
 
@@ -232,7 +233,15 @@ class _Reader(_Budget):
         if token is None or not token.isdecimal():
             raise self.error(f"expected 'int', found {_kind(token)!r}")
         self.index += 1
-        return int(token)
+        return self.literal(self.index - 1)
+
+    def literal(self, index: int) -> int:
+        """The value of the integer token at ``index``."""
+        try:
+            return int(self.tokens[index])
+        except ValueError:  # past Python's int conversion limit
+            limit = sys.get_int_max_str_digits()
+            raise self.error(f"integer literal longer than the limit of {limit} digits", index) from None
 
     def mul(self, a: dict, b: dict) -> dict:
         self.charge(len(a) * len(b))
@@ -359,7 +368,7 @@ class _Reader(_Budget):
         token = self.tokens[start]
         self.index += 1
         if token and token.isdecimal():
-            value = int(token)
+            value = self.literal(start)
             form = ({_ZERO_MONO: (value, 0)} if value else {}, 1)
             return form, form
         if token == "(":

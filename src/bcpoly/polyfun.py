@@ -130,6 +130,13 @@ def _power_table(value: GaussianRational, top: int) -> tuple[list, int]:
     return [(x * d_powers[top - e], y * d_powers[top - e]) for e, (x, y) in enumerate(powers)], d_powers[top]
 
 
+def _shifted(terms: dict, single: dict) -> dict:
+    """``terms`` times the one term c*x^k of ``single``: each key shifted by
+    k, each coefficient times c."""
+    ((k0, k1, k2, k3), c), = single.items()
+    return {(e0 + k0, e1 + k1, e2 + k2, e3 + k3): coeff._times(c, 1) for (e0, e1, e2, e3), coeff in terms.items()}
+
+
 class Poly4:
     """A sparse polynomial in (alpha, conj alpha, beta, conj beta).
 
@@ -207,6 +214,13 @@ class Poly4:
         return self + (-other)
 
     def __mul__(self, other: "Poly4") -> "Poly4":
+        # a one-term factor c*x^k shifts the other factor's keys by k: the
+        # shifted keys are distinct and no product of nonzero coefficients
+        # is zero, so terms and order are the integer kernel's
+        if len(self.terms) == 1:
+            return Poly4._raw(_shifted(other.terms, self.terms))
+        if len(other.terms) == 1:
+            return Poly4._raw(_shifted(self.terms, other.terms))
         a, a_den = _integer_form(self.terms)
         b, b_den = _integer_form(other.terms)
         return Poly4._raw(_from_integer_form(_mul_nums(a, b), a_den * b_den))
@@ -214,6 +228,9 @@ class Poly4:
     def __pow__(self, exponent: int) -> "Poly4":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
+        if len(self.terms) == 1:
+            ((k0, k1, k2, k3), coeff), = self.terms.items()
+            return Poly4._raw({(exponent * k0, exponent * k1, exponent * k2, exponent * k3): coeff ** exponent})
         return Poly4._raw(_from_integer_form(*_pow_form(*_integer_form(self.terms), exponent)))
 
     def scale(self, coeff) -> "Poly4":

@@ -1,7 +1,10 @@
 """Seeded random generators for the verification harness and tests.
 
 All draws come from one ``random.Random`` stream per sampler, so a given
-seed reproduces the exact same inputs.  Class-constrained generators build
+seed reproduces the exact same inputs; ``tests/golden/sampler.json`` pins
+that stream.  An integer in [lo, hi] is drawn as ``rng.choice(range(lo,
+hi + 1))``, which consumes the same random bits as ``randint(lo, hi)`` and
+gives the same value at less cost.  Class-constrained generators build
 membership in by construction (never by rejection); the exact-order
 generators additionally plant anchor monomials at the extreme exponents so
 the advertised orders hold deterministically, not just generically.
@@ -30,14 +33,25 @@ class Sampler:
         self.rng = random.Random(seed)
         self.max_degree = max_degree
         self.coeff_bound = coeff_bound
+        self._numerators = range(-coeff_bound, coeff_bound + 1)
+        self._denominators = range(1, coeff_bound + 1)
+        # drawn fractions by (numerator, denominator), filled as they are
+        # drawn: at most (2b+1)*b entries, never more than the draws made
+        self._fractions: dict[tuple[int, int], Fraction] = {}
+
+    def _int(self, lo: int, hi: int) -> int:
+        return self.rng.choice(range(lo, hi + 1))
 
     # ------------------------------------------------------------- scalars
 
     def fraction(self, nonzero: bool = False) -> Fraction:
-        bound = self.coeff_bound
+        choice = self.rng.choice
         while True:
-            q = Fraction(self.rng.randint(-bound, bound), self.rng.randint(1, bound))
-            if not nonzero or q != 0:
+            n, d = choice(self._numerators), choice(self._denominators)
+            q = self._fractions.get((n, d))
+            if q is None:
+                q = self._fractions[n, d] = Fraction(n, d)
+            if not nonzero or n:
                 return q
 
     def gaussian(self, nonzero: bool = False) -> GaussianRational:
@@ -65,15 +79,15 @@ class Sampler:
 
     def monomial_key(self, box: Box | None = None) -> tuple[int, int, int, int]:
         box = self._box(box)
-        return tuple(self.rng.randint(0, b) for b in box)  # type: ignore[return-value]
+        return tuple(self._int(0, b) for b in box)  # type: ignore[return-value]
 
     def poly(self, box: Box | None = None, terms: int | None = None) -> Poly4:
         if terms is None:
-            terms = self.rng.randint(1, 4)
+            terms = self._int(1, 4)
         out: dict = {}
         for _ in range(terms):
             out[self.monomial_key(box)] = self.gaussian(nonzero=True)
-        return Poly4(out)
+        return Poly4._raw(out)
 
     def bar_fixed_poly(self, box: Box | None = None, terms: int | None = None) -> Poly4:
         """A real-valued polynomial: p + bar(p) for a random p."""
@@ -86,7 +100,7 @@ class Sampler:
     def operator(self, max_order: int = 2, terms: int | None = None) -> Operator:
         box = (max_order,) * 4
         if terms is None:
-            terms = self.rng.randint(1, 3)
+            terms = self._int(1, 3)
         return Operator(self.poly(box, terms), self.poly(box, terms))
 
     # --------------------------------------------------- constrained classes
@@ -105,9 +119,9 @@ class Sampler:
         """Polynomial in alpha only (pair 'alpha') or beta only (pair 'beta')."""
         var = 0 if pair == "alpha" else 2
         out: dict = {}
-        for _ in range(self.rng.randint(1, 4)):
+        for _ in range(self._int(1, 4)):
             key = [0, 0, 0, 0]
-            key[var] = self.rng.randint(0, self.max_degree)
+            key[var] = self._int(0, self.max_degree)
             out[tuple(key)] = self.gaussian(nonzero=True)
         if real_constant:
             zero = (0, 0, 0, 0)
@@ -115,7 +129,7 @@ class Sampler:
                 out[zero] = GaussianRational(self.fraction())
                 if out[zero].is_zero():
                     del out[zero]
-        return Poly4(out)
+        return Poly4._raw(out)
 
     def bc_holomorphic(self, real_constants: bool = False) -> BicomplexFunction:
         return BicomplexFunction(
@@ -139,11 +153,11 @@ class Sampler:
             return Poly4.zero()
         top = max(self.max_degree, order)
         out: dict = {}
-        for _ in range(self.rng.randint(1, 4)):
+        for _ in range(self._int(1, 4)):
             key = [0, 0, 0, 0]
-            key[conj_var] = self.rng.randint(0, order - 1)
+            key[conj_var] = self._int(0, order - 1)
             low = key[conj_var] if normalized else 0
-            key[var] = self.rng.randint(low, top)
+            key[var] = self._int(low, top)
             coeff = self.gaussian(nonzero=True)
             if normalized and key[var] == key[conj_var]:
                 coeff = GaussianRational(self.fraction(nonzero=True))
@@ -152,7 +166,7 @@ class Sampler:
         anchor[var] = top
         anchor[conj_var] = order - 1
         out[tuple(anchor)] = self.gaussian_with_real_part()
-        return Poly4(out)
+        return Poly4._raw(out)
 
     def a1_function(self, m: int, n: int, normalized: bool = False) -> BicomplexFunction:
         """First-kind function with exact componentwise conjugate orders (m, n).
@@ -178,11 +192,11 @@ class Sampler:
         top = max(self.max_degree, m)
         plus: dict = {}
         minus: dict = {}
-        for _ in range(self.rng.randint(1, 4)):
-            plus[(self.rng.randint(0, top), self.rng.randint(0, m - 1),
-                  self.rng.randint(0, k - 1), self.rng.randint(0, n - 1))] = self.gaussian(nonzero=True)
-            minus[(self.rng.randint(0, k - 1), self.rng.randint(0, n - 1),
-                   self.rng.randint(0, top), self.rng.randint(0, m - 1))] = self.gaussian(nonzero=True)
+        for _ in range(self._int(1, 4)):
+            plus[(self._int(0, top), self._int(0, m - 1),
+                  self._int(0, k - 1), self._int(0, n - 1))] = self.gaussian(nonzero=True)
+            minus[(self._int(0, k - 1), self._int(0, n - 1),
+                   self._int(0, top), self._int(0, m - 1))] = self.gaussian(nonzero=True)
         # anchors: exact orders for the signature, the pair Laplacians, and
         # the dagger conjugate, all survive because their exponents exceed
         # the random boxes in at least one slot or are planted last
@@ -190,7 +204,7 @@ class Sampler:
         plus[(0, 0, k - 1, n - 1)] = self.gaussian_with_real_part()
         minus[(0, 0, top, m - 1)] = self.gaussian_with_real_part()
         minus[(k - 1, n - 1, 0, 0)] = self.gaussian_with_real_part()
-        return BicomplexFunction(Poly4(plus), Poly4(minus))
+        return BicomplexFunction(Poly4._raw(plus), Poly4._raw(minus))
 
     def hyperbolic_imaginary_function(self, box_plus: Box, box_minus: Box) -> BicomplexFunction:
         """A function whose hyperbolic real part vanishes identically."""
@@ -252,10 +266,10 @@ class Sampler:
         while True:
             poly = self.pair_poly(pair)
             key = [0, 0, 0, 0]
-            key[z] = self.rng.randint(0, self.max_degree)
-            key[zbar] = self.rng.randint(0, self.max_degree)
+            key[z] = self._int(0, self.max_degree)
+            key[zbar] = self._int(0, self.max_degree)
             bump = dict(poly.terms)
             bump[tuple(key)] = self.gaussian(nonzero=True)
-            candidate = Poly4(bump)
+            candidate = Poly4._raw(bump)
             if not candidate.is_bar_fixed() and not candidate.is_zero():
                 return candidate

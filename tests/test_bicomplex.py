@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -187,6 +188,42 @@ def test_hash_agrees_with_equality(g):
     if g.is_real():
         assert hash(g) == hash(g.re)
         assert hash(Hyperbolic(g.re, g.re)) == hash(g)
+
+
+def _gaussian_value(x):
+    """A number's value as (re, im); a Bicomplex off the scalar line, and
+    anything that is not a number, equal no Gaussian rational."""
+    if isinstance(x, (int, Fraction)):
+        return (Fraction(x), Fraction(0))
+    if isinstance(x, GaussianRational):
+        return (x.re, x.im)
+    if isinstance(x, Bicomplex) and (x.alpha.re, x.alpha.im) == (x.beta.re, x.beta.im):
+        return (x.alpha.re, x.alpha.im)
+    return None
+
+
+@given(gaussians(), gaussians(), st.integers(-6, 6))
+def test_gaussian_equality_with_every_operand_type_in_both_orders(g, h, n):
+    same_value = [
+        GaussianRational.from_json(g.to_json()),
+        GaussianRational(g.re) + GaussianRational(0, g.im),
+        (g * 3) / 3,
+        Bicomplex(g, g),
+    ]
+    others = same_value + [h, n, g.re, Fraction(n, 7), Bicomplex(g, h), Bicomplex(g, g + 1), str(g), "x", None]
+    if g.is_real() and g.re.denominator == 1:
+        others.append(g.re.numerator)
+    for other in others:
+        expected = _gaussian_value(g) == _gaussian_value(other)
+        assert (g == other) is expected and (other == g) is expected
+        assert (g != other) is not expected and (other != g) is not expected
+        if expected:
+            assert hash(g) == hash(other)
+    for other in same_value:
+        assert g == other
+    real = GaussianRational(n)
+    assert real == n and n == real and real == Fraction(n) and Fraction(n) == real
+    assert hash(real) == hash(n) == hash(Fraction(n)) == hash(GaussianRational(Fraction(2 * n, 2)))
 
 
 @given(gaussians(), bicomplexes())

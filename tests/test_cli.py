@@ -46,6 +46,14 @@ def test_eval_domain_error_is_structured():
         assert payload["error"] == "ExprSyntaxError"
 
 
+def test_integer_literal_past_the_digit_limit_is_structured():
+    result = run_cli("eval", "1" * 5000, "--at", "1")
+    assert result.returncode == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "ExprSyntaxError"
+    assert payload["message"] == f"integer literal longer than the limit of {sys.get_int_max_str_digits()} digits (at position 0)"
+
+
 def test_expansion_limit_error_is_structured():
     result = run_cli("classify", "(Z+star(Z)+dag(Z)+1)^200")
     assert result.returncode == 1

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -148,6 +149,17 @@ def test_syntax_error_table(text, raw, message, pos):
         parse(text, raw=raw)
     assert str(err.value) == f"{message} (at position {pos})"
     assert err.value.pos == pos
+
+
+def test_integer_literal_past_the_digit_limit():
+    # int() refuses a decimal string past this many digits; the reader
+    # names the limit and the literal's position instead
+    limit = sys.get_int_max_str_digits()
+    for text, raw, pos in (("1" * 5000, False, 0), ("a^" + "9" * 5000, True, 2), ("Z/" + "3" * 5000, False, 2)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text, raw=raw)
+        assert str(err.value) == f"integer literal longer than the limit of {limit} digits (at position {pos})"
+        assert err.value.pos == pos
 
 
 def test_unary_minus_chain_of_any_length():

@@ -92,6 +92,26 @@ def test_pow_matches_reference(p, n):
     assert same(p ** n, ref_pow(p, n))
 
 
+def one_term_polys():
+    """One term, its coefficient's parts small or with denominators past
+    the 1024 bits where the Gaussian-rational product falls back to
+    ``Fraction``'s operators."""
+    parts = st.one_of(st.just(Fraction(0)), fractions_small(), big_fractions())
+    coeff = st.builds(GaussianRational, parts, parts).filter(lambda g: not g.is_zero())
+    return st.builds(lambda key, c: Poly4({key: c}), monomials(3), coeff)
+
+
+@given(one_term_polys(), st.one_of(st.just(Poly4.zero()), cancelling_polys(), mixed_polys(), one_term_polys()))
+def test_one_term_factor_matches_reference_in_either_order(p, q):
+    assert same(p * q, ref_mul(p, q))
+    assert same(q * p, ref_mul(q, p))
+
+
+@given(one_term_polys(), st.integers(0, 5))
+def test_one_term_power_matches_reference(p, n):
+    assert same(p ** n, ref_pow(p, n))
+
+
 @given(mixed_polys(), st.tuples(gaussians(), gaussians(), gaussians(), gaussians()))
 def test_substitute_matches_reference(p, values):
     assert p.substitute(values) == ref_substitute(p, values)

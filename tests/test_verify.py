@@ -117,6 +117,14 @@ def test_wrong_sign_in_operator_products_is_caught(monkeypatch):
     _assert_caught(("fn-pointwise",))
 
 
+def test_wrong_sign_in_one_term_product_is_caught(monkeypatch):
+    # the imaginary sign flipped in every product with a one-term factor,
+    # the route of most Poly4 products the suites make
+    shifted = polyfun._shifted
+    monkeypatch.setattr(polyfun, "_shifted", lambda terms, single: {key: c.conjugate() for key, c in shifted(terms, single).items()})
+    _assert_caught(("fn-pointwise", "almansi-roundtrip"))
+
+
 def test_wrong_sign_in_canonical_kernel_is_caught(monkeypatch):
     read = expr._read_canonical
 
