@@ -12,6 +12,7 @@ from .bicomplex import (
     GaussianRational,
     Hyperbolic,
     NullConeError,
+    OutputLimitError,
     DAGGER,
     STAR,
     TILDE,

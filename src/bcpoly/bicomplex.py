@@ -18,10 +18,15 @@ part of the result is one integer numerator over the common denominator of
 the four parts, reduced once.
 Only when a part's denominator passes ``_MUL_DEN_BITS`` bits does the
 product fall back to ``Fraction``'s cross-reduced operators, which win there.
+
+Every printed number goes through one renderer, ``_number_text``, which
+raises ``OutputLimitError`` for a number past Python's int-to-string digit
+limit (``sys.get_int_max_str_digits()``).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -30,6 +35,7 @@ from typing import Union
 __all__ = [
     "BicomplexError",
     "NullConeError",
+    "OutputLimitError",
     "GaussianRational",
     "Hyperbolic",
     "Bicomplex",
@@ -55,6 +61,11 @@ class NullConeError(BicomplexError, ZeroDivisionError):
     """Inversion of a zero divisor (a value with alpha*beta = 0)."""
 
 
+class OutputLimitError(BicomplexError):
+    """A number too long to print: more decimal digits than Python's
+    int-to-string limit, ``sys.get_int_max_str_digits()``."""
+
+
 RationalLike = Union[int, Fraction]
 
 DAGGER = "dagger"  # negates the j-part: swaps idempotent coordinates
@@ -68,17 +79,37 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown conjugation kind {kind!r}; expected one of {CONJUGATION_KINDS}")
 
 
-def _fraction_text(q: Fraction) -> str:
-    return str(q)
+def _number_text(num: int, den: int = 1) -> str:
+    """The printed rational num/den (den > 0, in lowest terms): ``num`` when
+    den is 1, else ``num/den``.  The one renderer of printed numbers."""
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # past Python's int-to-string digit limit
+        raise _output_limit_error() from None
 
 
-def _signed_unit_term(coeff: Fraction, unit: str) -> str:
-    """Render coeff*unit with coeff != 0, e.g. ``i``, ``-i``, ``3/2*k``."""
-    if coeff == 1:
-        return unit
-    if coeff == -1:
-        return "-" + unit
-    return f"{_fraction_text(coeff)}*{unit}"
+def _output_limit_error() -> OutputLimitError:
+    limit = sys.get_int_max_str_digits()
+    return OutputLimitError(f"cannot print a number longer than the limit of {limit} digits")
+
+
+def _signed_unit_term(num: int, den: int, unit: str) -> str:
+    """Render (num/den)*unit with num != 0, e.g. ``i``, ``-i``, ``3/2*k``."""
+    if den == 1 and (num == 1 or num == -1):
+        return unit if num == 1 else "-" + unit
+    return f"{_number_text(num, den)}*{unit}"
+
+
+def _rational_terms(parts, units) -> list[str]:
+    """The printed terms of the nonzero rational ``parts``, each times its
+    unit ("" for the real unit)."""
+    terms = []
+    for q, unit in zip(parts, units):
+        num = q.numerator
+        if num:
+            den = q.denominator
+            terms.append(_signed_unit_term(num, den, unit) if unit else _number_text(num, den))
+    return terms
 
 
 def _join_terms(terms: list[str]) -> str:
@@ -93,16 +124,28 @@ def _join_terms(terms: list[str]) -> str:
     return out
 
 
-def _fraction_from_strings(num: str, den: str, path: str) -> Fraction:
+def _lowest_terms(n: int, d: int) -> Fraction | None:
+    """n/d when d > 0 and the fraction is in lowest terms; None otherwise."""
+    if d == 1:
+        return Fraction(n) if n else _FRACTION_ZERO
+    if d <= 0:
+        return None
+    q = Fraction(n, d)
+    return q if q.denominator == d else None
+
+
+def _fraction_from_strings(num: str, den: str, path: str, part: str) -> Fraction:
+    """The fraction num/den of two integer strings, in lowest terms over a
+    positive denominator; errors name ``path + part``."""
     try:
         n, d = int(num), int(den)
     except (TypeError, ValueError):
-        raise BicomplexError(f"{path}: numerator/denominator must be decimal integer strings")
+        raise BicomplexError(f"{path}{part}: numerator/denominator must be decimal integer strings")
     if d <= 0:
-        raise BicomplexError(f"{path}: denominator must be positive")
-    q = Fraction(n, d)
-    if q.numerator != n or q.denominator != d:
-        raise BicomplexError(f"{path}: fraction {n}/{d} is not in lowest terms")
+        raise BicomplexError(f"{path}{part}: denominator must be positive")
+    q = _lowest_terms(n, d)
+    if q is None:
+        raise BicomplexError(f"{path}{part}: fraction {n}/{d} is not in lowest terms")
     return q
 
 
@@ -250,31 +293,23 @@ class GaussianRational:
         return not self.is_zero()
 
     def __str__(self):
-        terms = []
-        if self.re != 0:
-            terms.append(_fraction_text(self.re))
-        if self.im != 0:
-            terms.append(_signed_unit_term(self.im, "i"))
-        return _join_terms(terms)
+        return _join_terms(_rational_terms((self.re, self.im), ("", "i")))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def to_json(self) -> list[str]:
         """Four decimal strings: [re_num, re_den, im_num, im_den]."""
-        return [
-            str(self.re.numerator),
-            str(self.re.denominator),
-            str(self.im.numerator),
-            str(self.im.denominator),
-        ]
+        re, im = self.re, self.im
+        return [_number_text(re.numerator), _number_text(re.denominator),
+                _number_text(im.numerator), _number_text(im.denominator)]
 
     @classmethod
     def from_json(cls, data, path: str = "coeff") -> "GaussianRational":
         if not isinstance(data, (list, tuple)) or len(data) != 4:
             raise BicomplexError(f"{path}: expected an array of 4 integer strings")
-        re = _fraction_from_strings(data[0], data[1], f"{path}[0:2]")
-        im = _fraction_from_strings(data[2], data[3], f"{path}[2:4]")
+        re = _fraction_from_strings(data[0], data[1], path, "[0:2]")
+        im = _fraction_from_strings(data[2], data[3], path, "[2:4]")
         return cls(re, im)
 
 
@@ -496,14 +531,7 @@ class Bicomplex:
         return not self.is_zero()
 
     def __str__(self):
-        a, b, c, d = self.units()
-        terms = []
-        if a != 0:
-            terms.append(_fraction_text(a))
-        for coeff, unit in ((b, "i"), (c, "j"), (d, "k")):
-            if coeff != 0:
-                terms.append(_signed_unit_term(coeff, unit))
-        return _join_terms(terms)
+        return _join_terms(_rational_terms(self.units(), ("", "i", "j", "k")))
 
     def __repr__(self):
         return f"Bicomplex({self.alpha!r}, {self.beta!r})"

@@ -26,6 +26,7 @@ from .decompose import (
     rehyp_to_polyholomorphic_A1,
 )
 from .expr import (
+    _json_text,
     format_function,
     function_to_json_obj,
     parse,
@@ -53,11 +54,8 @@ class UsageError(Exception):
     pass
 
 
-def _emit(obj, compact: bool) -> None:
-    if compact:
-        print(json.dumps(obj, separators=(",", ":")))
-    else:
-        print(json.dumps(obj, indent=2))
+def _dumps(obj, compact: bool) -> str:
+    return _json_text(obj, separators=(",", ":")) if compact else _json_text(obj, indent=2)
 
 
 def _domain_error(exc: Exception) -> int:
@@ -98,12 +96,10 @@ def cmd_eval(args) -> int:
         fn = parse(args.expr, raw=args.raw_idempotent)
         point = parse_point(args.at)
         value = fn.evaluate(point)
+        out = _dumps(value.to_json(), compact=True) if args.json else str(value)
     except BicomplexError as exc:
         return _domain_error(exc)
-    if args.json:
-        _emit(value.to_json(), compact=True)
-    else:
-        print(str(value))
+    print(out)
     return 0
 
 
@@ -112,22 +108,20 @@ def cmd_apply(args) -> int:
     try:
         fn = parse(args.expr, raw=args.raw_idempotent)
         image = operator.apply(fn)
+        out = _dumps(function_to_json_obj(image), compact=True) if args.json else format_function(image)
     except BicomplexError as exc:
         return _domain_error(exc)
-    if args.json:
-        _emit(function_to_json_obj(image), compact=True)
-    else:
-        print(format_function(image))
+    print(out)
     return 0
 
 
 def cmd_classify(args) -> int:
     try:
         fn = parse(args.expr, raw=args.raw_idempotent)
-        report = classification_report(fn)
+        out = _dumps(classification_report(fn), compact=args.json)
     except BicomplexError as exc:
         return _domain_error(exc)
-    _emit(report, compact=args.json)
+    print(out)
     return 0
 
 
@@ -164,9 +158,10 @@ def cmd_decompose(args) -> int:
                 ),
                 "non_real": [list(entry) for entry in dec.non_real],
             }
+        out = _dumps(payload, compact=args.json)
     except BicomplexError as exc:
         return _domain_error(exc)
-    _emit(payload, compact=args.json)
+    print(out)
     return 0
 
 
@@ -198,7 +193,7 @@ def cmd_verify(args) -> int:
 
 def cmd_paper_examples(args) -> int:
     checks = run_checks()
-    _emit(checks, compact=args.json)
+    print(_dumps(checks, compact=args.json))
     return 0 if all(check["pass"] for check in checks) else FAILURE
 
 

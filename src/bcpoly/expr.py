@@ -31,10 +31,13 @@ the text.
 The canonical text for a function is ``plus-poly | minus-poly`` with
 monomials in ascending lexicographic exponent order; parsing the canonical
 text in raw mode restores the function exactly.  Such text is read one
-printed term per match of ``_CANONICAL_TERM``, with the reader's results,
+printed term per match of ``_CANONICAL_TERM``, each coefficient built from
+its printed parts, which are in lowest terms, with the reader's results,
 work charges, limits and errors: at the first text that is not a printed
 term, the reader reads the whole text.  The JSON codecs are bit-exact round
-trips over the same sorted term lists.
+trips over the same sorted term lists.  Every printed number goes through
+one renderer, which raises ``OutputLimitError`` past Python's int-to-string
+digit limit.
 """
 
 from __future__ import annotations
@@ -43,14 +46,14 @@ import json
 import re
 import sys
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 
 from .bicomplex import Bicomplex, BicomplexError, GaussianRational
 from .bicomplex import DAGGER, E_MINUS, E_PLUS, I, J, K, STAR, TILDE
-from .bicomplex import _join_terms
+from .bicomplex import _join_terms, _lowest_terms, _number_text, _output_limit_error, _signed_unit_term
 from .operators import Operator
 from .polyfun import BicomplexFunction, Poly4
-from .polyfun import _ZERO_MONO, _from_integer_form, _integer_form, _mul_nums, _pow_form
+from .polyfun import _ZERO_MONO, _integer_form, _mul_nums, _poly_of_form, _pow_form
 
 __all__ = [
     "ExprSyntaxError",
@@ -149,16 +152,25 @@ def _kind(token) -> str:
 
 
 def _poly(form: tuple[dict, int]) -> Poly4:
-    return Poly4._raw(_from_integer_form(*form))
+    return _poly_of_form(*form)
+
+
+def _rescale_charge(n_terms: int, den: int, term_den: int, charge) -> int:
+    """The common denominator of a sum of ``n_terms`` over ``den`` and a
+    term over ``term_den``; when it is new, rescaling the sum is charged to
+    the work budget as ``n_terms // 2`` term pairs."""
+    common = lcm(den, term_den)
+    if common != den:
+        charge(n_terms // 2)
+    return common
 
 
 def _add_into(acc: dict, acc_den: int, nums: dict, den: int, sign: int, charge) -> int:
     """Add ``sign * nums/den`` to ``acc/acc_den`` in place; returns the new
     common denominator of ``acc``.  A new denominator rescales all of
     ``acc``, which is charged to the work budget through ``charge``."""
-    common = lcm(acc_den, den)
+    common = _rescale_charge(len(acc), acc_den, den, charge)
     if common != acc_den:
-        charge(len(acc) // 2)
         factor = common // acc_den
         for key, (re, im) in acc.items():
             acc[key] = (re * factor, im * factor)
@@ -407,48 +419,60 @@ _CANONICAL_TERM = re.compile(
 )
 
 
-def _read_canonical(text: str, budget: _Budget) -> tuple | None:
-    """The integer forms that ``_Reader(text, True).read()`` gives for the
-    canonical text of a function, read one term per match and summed with
-    the reader's ``_add_into`` and charges; None at the first thing that is
-    not a canonical term, for the reader to read the whole text."""
+def _read_canonical(text: str, budget: _Budget) -> tuple[Poly4, Poly4] | None:
+    """The components that ``_Reader(text, True).read()`` gives for the
+    canonical text of a function, read one term per match, each coefficient
+    straight from its printed parts; None at the first thing that is not a
+    canonical term, for the reader to read the whole text.  Terms come in
+    the reader's order, and the common denominator the reader would rescale
+    its sum to is kept only to charge the same work, through
+    ``_rescale_charge`` as in ``_add_into``."""
     mid = text.find(" | ") if isinstance(text, str) else -1
     if mid < 0:
         return None
     value = []
     try:
         for pos, end in ((0, mid), (mid + 3, len(text))):
-            nums = None
+            terms, den = None, 1
             if end == pos + 1 and text[pos] == "0":
-                nums, den, pos = {}, 1, end
+                terms, pos = {}, end
             while pos < end:
                 match = _CANONICAL_TERM.match(text, pos, end)
-                if match is None or (nums is None) == (len(match[1]) == 3):
+                if match is None or (terms is None) == (len(match[1]) == 3):
                     return None
                 pos = match.end()
                 sep, re_sign, re_n, re_d, im_sign, im_n, im_d, i_n, i_d, i, r_n, r_d, *powers = match.groups()
                 if re_n is None:  # not (re+im*i): an imaginary or a real coefficient
                     re_n, re_d, im_n, im_d = ("0", None, i_n, i_d) if i else (r_n or "1", r_d, "0", None)
-                re, re_den, im, im_den = int(re_n), int(re_d or 1), int(im_n or 1), int(im_d or 1)
-                if "1" in (re_d, im_d) or gcd(re, re_den) != 1 or gcd(im, im_den) != 1:
+                if re_d == "1" or im_d == "1":
                     return None
-                term_den = lcm(re_den, im_den)
-                re *= -(term_den // re_den) if re_sign else term_den // re_den
-                im *= -(term_den // im_den) if im_sign == "-" else term_den // im_den
+                negative = sep == " - " or sep == "-"
+                re_num, re_den, im_num, im_den = int(re_n), int(re_d or 1), int(im_n or 1), int(im_d or 1)
+                re = _lowest_terms(-re_num if (re_sign == "-") != negative else re_num, re_den)
+                im = _lowest_terms(-im_num if (im_sign == "-") != negative else im_num, im_den)
+                if re is None or im is None:
+                    return None
+                coeff = GaussianRational(re, im)
                 key = tuple([0 if p is None else int(p[1:] or 1) for p in powers])
-                if nums is None:
-                    nums, den = ({key: (-re, -im)} if sep else {key: (re, im)}), term_den
+                if terms is None:
+                    terms = {}
+                den = _rescale_charge(len(terms), den, lcm(re_den, im_den), budget.charge)
+                old = terms.get(key)
+                if old is None:
+                    terms[key] = coeff
+                elif (coeff := old + coeff).is_zero():
+                    del terms[key]
                 else:
-                    den = _add_into(nums, den, {key: (re, im)}, term_den, -1 if sep == " - " else 1, budget.charge)
-            if nums is None:
+                    terms[key] = coeff
+            if terms is None:
                 return None
-            value.append((nums, den))
+            value.append(Poly4._raw(terms))
     except ValueError:  # a number past int's digit limit, which the reader reports
         return None
     except ExprLimitError:
         _Reader(text, True)  # the reader reports a bad token anywhere before its limit
         raise
-    return tuple(value)
+    return value[0], value[1]
 
 
 def parse(text: str, raw: bool = False) -> BicomplexFunction:
@@ -460,8 +484,9 @@ def parse(text: str, raw: bool = False) -> BicomplexFunction:
     than ``MAX_TERM_PAIRS`` term pairs.
     """
     value = _read_canonical(text, _Budget()) if raw else None
-    plus, minus = value or _Reader(text, raw).read()
-    return BicomplexFunction(_poly(plus), _poly(minus))
+    if value is None:
+        value = map(_poly, _Reader(text, raw).read())
+    return BicomplexFunction(*value)
 
 
 def parse_point(text: str) -> Bicomplex:
@@ -476,33 +501,18 @@ def parse_point(text: str) -> Bicomplex:
 
 def _coeff_prefix(coeff: GaussianRational, has_monomial: bool) -> str:
     """Render a coefficient, with trailing '*' when a monomial follows."""
-    if coeff.im == 0:
-        body = str(coeff.re)
-        if has_monomial:
-            if coeff.re == 1:
-                return ""
-            if coeff.re == -1:
-                return "-"
-            return body + "*"
-        return body
-    if coeff.re == 0:
-        if coeff.im == 1:
-            body = "i"
-        elif coeff.im == -1:
-            body = "-i"
-        else:
-            body = f"{coeff.im}*i"
+    re, im = coeff.re, coeff.im
+    im_num = im.numerator
+    if not im_num:
+        num, den = re.numerator, re.denominator
+        if has_monomial and den == 1 and (num == 1 or num == -1):
+            return "" if num == 1 else "-"
+        body = _number_text(num, den)
     else:
-        im = coeff.im
-        if im == 1:
-            im_text = "i"
-        elif im == -1:
-            im_text = "-i"
-        else:
-            im_text = f"{im}*i"
-        if not im_text.startswith("-"):
-            im_text = "+" + im_text
-        body = f"({coeff.re}{im_text})"
+        body = _signed_unit_term(im_num, im.denominator, "i")
+        re_num = re.numerator
+        if re_num:
+            body = f"({_number_text(re_num, re.denominator)}{body if body[0] == '-' else '+' + body})"
     return body + "*" if has_monomial else body
 
 
@@ -520,9 +530,12 @@ def format_poly(poly: Poly4) -> str:
     if poly.is_zero():
         return "0"
     rendered = []
-    for key, coeff in poly.sorted_terms():
-        monomial = _monomial_text(key)
-        rendered.append(_coeff_prefix(coeff, bool(monomial)) + monomial)
+    try:
+        for key, coeff in poly.sorted_terms():
+            monomial = _monomial_text(key)
+            rendered.append(_coeff_prefix(coeff, bool(monomial)) + monomial)
+    except ValueError:  # an exponent past the int-to-string digit limit
+        raise _output_limit_error() from None
     return _join_terms(rendered)
 
 
@@ -541,21 +554,22 @@ def _terms_from_json(data, path: str) -> Poly4:
         raise JsonFormatError(f"{path}: expected a list of terms")
     terms = {}
     for idx, entry in enumerate(data):
-        entry_path = f"{path}[{idx}]"
+        # each rule in order; the path of an entry is built only to raise
         if not isinstance(entry, list) or len(entry) != 5:
-            raise JsonFormatError(f"{entry_path}: expected [a, b, c, d, coeff]")
-        exponents = entry[:4]
-        if any((not isinstance(e, int)) or isinstance(e, bool) or e < 0 for e in exponents):
-            raise JsonFormatError(f"{entry_path}: exponents must be nonnegative integers")
+            raise JsonFormatError(f"{path}[{idx}]: expected [a, b, c, d, coeff]")
+        e0, e1, e2, e3, parts = entry
+        key = (e0, e1, e2, e3)
+        for e in key:
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+                raise JsonFormatError(f"{path}[{idx}]: exponents must be nonnegative integers")
         try:
-            coeff = GaussianRational.from_json(entry[4], f"{entry_path}[4]")
+            coeff = GaussianRational.from_json(parts, "")
         except BicomplexError as exc:
-            raise JsonFormatError(str(exc)) from None
-        key = tuple(exponents)
+            raise JsonFormatError(f"{path}[{idx}][4]{exc}") from None
         if key in terms:
-            raise JsonFormatError(f"{entry_path}: duplicate monomial {key}")
+            raise JsonFormatError(f"{path}[{idx}]: duplicate monomial {key}")
         if coeff.is_zero():
-            raise JsonFormatError(f"{entry_path}: explicit zero coefficient")
+            raise JsonFormatError(f"{path}[{idx}]: explicit zero coefficient")
         terms[key] = coeff
     return Poly4._raw(terms)  # the checks above are those of Poly4()
 
@@ -581,8 +595,18 @@ def function_from_json_obj(obj, path: str = "function") -> BicomplexFunction:
     return _pair_from_json_obj(BicomplexFunction, obj, path, ("plus", "minus"))
 
 
+def _json_text(obj, **options) -> str:
+    """``json.dumps`` of lists, dicts, strings, bools and ints, where an int
+    past the int-to-string digit limit (in a function, an exponent) raises
+    ``OutputLimitError``."""
+    try:
+        return json.dumps(obj, **options)
+    except ValueError:
+        raise _output_limit_error() from None
+
+
 def function_to_json(fn: BicomplexFunction) -> str:
-    return json.dumps(function_to_json_obj(fn), separators=(",", ":"))
+    return _json_text(function_to_json_obj(fn), separators=(",", ":"))
 
 
 def function_from_json(text: str) -> BicomplexFunction:

@@ -61,7 +61,10 @@ def _as_monomial(key) -> Monomial:
 # positive denominator, ``({monomial: (re_num, im_num)}, den)``, the layout of
 # FLINT's fmpq_poly.  Kernels never store a zero pair, and a key that
 # cancels to zero and reappears moves to the end, so the terms of a result
-# come in the order of the GaussianRational loops they replace.
+# come in the order of the GaussianRational loops they replace.  Evaluation
+# reads the form through ``_cached_form``: the expression reader leaves the
+# form it built on the polynomial it returns, and any other polynomial gets
+# its form on its first evaluation.
 
 
 def _integer_form(terms: dict) -> tuple[dict, int]:
@@ -78,6 +81,22 @@ def _integer_form(terms: dict) -> tuple[dict, int]:
 def _from_integer_form(nums: dict, den: int) -> dict:
     """The ``{monomial: GaussianRational}`` terms of an integer form."""
     return {key: GaussianRational(Fraction(re, den), Fraction(im, den)) for key, (re, im) in nums.items()}
+
+
+def _poly_of_form(nums: dict, den: int) -> "Poly4":
+    """The polynomial of an integer form, with the form cached on it."""
+    poly = Poly4._raw(_from_integer_form(nums, den))
+    poly._form = (nums, den)
+    return poly
+
+
+def _cached_form(poly: "Poly4") -> tuple[dict, int]:
+    """The integer form of ``poly``, built on first use and cached on it."""
+    try:
+        return poly._form
+    except AttributeError:
+        form = poly._form = _integer_form(poly.terms)
+        return form
 
 
 def _mul_nums(a: dict, b: dict) -> dict:
@@ -116,9 +135,9 @@ def _pow_form(nums: dict, den: int, exponent: int, mul=_mul_nums) -> tuple[dict,
     return out, out_den
 
 
-def _power_table(value: GaussianRational, top: int) -> tuple[list, int]:
-    """Gaussian integers ``value^e * d^(top - e)`` for e = 0..top, and d^top,
-    with d the common denominator of ``value``: every entry is over d^top."""
+def _powers(value: GaussianRational, top: int) -> tuple[list, list]:
+    """Gaussian integers ``value^e * d^e`` for e = 0..top, and the powers
+    d^e, with d the common denominator of ``value``."""
     re, im = value.re, value.im
     d = lcm(re.denominator, im.denominator)
     p, q = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
@@ -127,7 +146,55 @@ def _power_table(value: GaussianRational, top: int) -> tuple[list, int]:
         x, y = powers[-1]
         powers.append((x * p - y * q, x * q + y * p))
         d_powers.append(d_powers[-1] * d)
-    return [(x * d_powers[top - e], y * d_powers[top - e]) for e, (x, y) in enumerate(powers)], d_powers[top]
+    return powers, d_powers
+
+
+def _tops(nums: dict) -> list[int]:
+    """The top exponent of each variable in a numerator dict (0 when empty)."""
+    return [max(column) for column in zip(*nums)] if nums else [0] * NVARS
+
+
+def _bits(value: GaussianRational) -> int:
+    """The longest numerator or denominator of the parts of ``value``, in bits."""
+    re, im = value.re, value.im
+    return max(re.numerator.bit_length(), re.denominator.bit_length(), im.numerator.bit_length(), im.denominator.bit_length())
+
+
+def _check_eval_bits(tops, bits) -> None:
+    """Refuse an evaluation whose numbers would pass ``MAX_EVAL_BITS``."""
+    if sum(top * b for top, b in zip(tops, bits)) > MAX_EVAL_BITS:
+        raise EvalLimitError(f"evaluation needs numbers of more than the limit of {MAX_EVAL_BITS} bits")
+
+
+def _evaluate_form(nums: dict, den: int, tops, coordinates) -> GaussianRational:
+    """The value of the integer form ``(nums, den)``, whose top exponents are
+    ``tops``, at the point whose four coordinates are ``(powers, d_powers,
+    sign)``: the ``_powers`` of a value, and -1 for its conjugate.  Each
+    variable's table is scaled to that variable's top, and the sum over the
+    terms c*x^e of c * (t0[e0]*t1[e1]) * (t2[e2]*t3[e3]) memoises the two
+    pair products by exponent pair."""
+    tables = []
+    for (powers, d_powers, sign), top in zip(coordinates, tops):
+        tables.append([(x * d_powers[top - e], sign * y * d_powers[top - e]) for e, (x, y) in enumerate(powers[:top + 1])])
+        den *= d_powers[top]
+    t0, t1, t2, t3 = tables
+    low: dict = {}
+    high: dict = {}
+    total_re = total_im = 0
+    for (e0, e1, e2, e3), (re, im) in nums.items():
+        a = low.get((e0, e1))
+        if a is None:
+            (x, y), (u, v) = t0[e0], t1[e1]
+            a = low[e0, e1] = (x * u - y * v, x * v + y * u)
+        b = high.get((e2, e3))
+        if b is None:
+            (x, y), (u, v) = t2[e2], t3[e3]
+            b = high[e2, e3] = (x * u - y * v, x * v + y * u)
+        (x, y), (u, v) = a, b
+        x, y = x * u - y * v, x * v + y * u
+        total_re += re * x - im * y
+        total_im += re * y + im * x
+    return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
 
 
 def _shifted(terms: dict, single: dict) -> dict:
@@ -144,7 +211,7 @@ class Poly4:
     and no zero coefficient is ever stored.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_form")  # _form: the integer form, set on first use
 
     def __init__(self, terms: Optional[dict] = None):
         clean: dict[Monomial, GaussianRational] = {}
@@ -293,27 +360,11 @@ class Poly4:
 
     def substitute(self, values: tuple) -> GaussianRational:
         values = tuple(GaussianRational.coerce(v) for v in values)
-        nums, den = _integer_form(self.terms)
-        tops = [max((key[var] for key in nums), default=0) for var in range(NVARS)]
-        bits = [
-            max(n.bit_length() for n in (v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator))
-            for v in values
-        ]
-        if sum(top * b for top, b in zip(tops, bits)) > MAX_EVAL_BITS:
-            raise EvalLimitError(f"evaluation needs numbers of more than the limit of {MAX_EVAL_BITS} bits")
-        tables = []
-        for value, top in zip(values, tops):
-            table, scale = _power_table(value, top)
-            tables.append(table)
-            den *= scale
-        t0, t1, t2, t3 = tables
-        total_re = total_im = 0
-        for (e0, e1, e2, e3), (re, im) in nums.items():
-            for x, y in (t0[e0], t1[e1], t2[e2], t3[e3]):
-                re, im = re * x - im * y, re * y + im * x
-            total_re += re
-            total_im += im
-        return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
+        nums, den = _cached_form(self)
+        tops = _tops(nums)
+        _check_eval_bits(tops, [_bits(v) for v in values])
+        coordinates = [(*_powers(value, top), 1) for value, top in zip(values, tops)]
+        return _evaluate_form(nums, den, tops, coordinates)
 
     def degree(self, var: int) -> Optional[int]:
         """Max exponent of one variable; ``None`` for the zero polynomial."""
@@ -489,9 +540,20 @@ class BicomplexFunction(_Pair):
         return self._conj(kind)
 
     def evaluate(self, point) -> Bicomplex:
+        """The value at ``point``: each component at (alpha, conj alpha,
+        beta, conj beta), from one table of powers per coordinate shared by
+        both components, the conjugate's by negating imaginary parts."""
         point = Bicomplex.coerce(point)
-        values = (point.alpha, point.alpha.conjugate(), point.beta, point.beta.conjugate())
-        return Bicomplex(self.plus.substitute(values), self.minus.substitute(values))
+        alpha, beta = point.alpha, point.beta
+        forms = [_cached_form(self.plus), _cached_form(self.minus)]
+        tops = [_tops(nums) for nums, _ in forms]
+        bits = (_bits(alpha),) * 2 + (_bits(beta),) * 2
+        for top in tops:
+            _check_eval_bits(top, bits)
+        alpha_powers = _powers(alpha, max(max(top[0], top[1]) for top in tops))
+        beta_powers = _powers(beta, max(max(top[2], top[3]) for top in tops))
+        coordinates = ((*alpha_powers, 1), (*alpha_powers, -1), (*beta_powers, 1), (*beta_powers, -1))
+        return Bicomplex(*(_evaluate_form(nums, den, top, coordinates) for (nums, den), top in zip(forms, tops)))
 
     def hyperbolic_part(self) -> "BicomplexFunction":
         """(f + f^*)/2 -- hyperbolic-valued, each component fixed by bar."""

@@ -54,6 +54,22 @@ def test_integer_literal_past_the_digit_limit_is_structured():
     assert payload["message"] == f"integer literal longer than the limit of {sys.get_int_max_str_digits()} digits (at position 0)"
 
 
+def test_output_past_the_digit_limit_is_structured():
+    limit = sys.get_int_max_str_digits()
+    for args in (
+        ("eval", "2^20000", "--at", "1"),
+        ("eval", "2^20000", "--at", "1", "--json"),
+        ("apply", "dZ", "2^20000*Z^2"),
+        ("apply", "dZ", "2^20000*Z^2", "--json"),
+        ("decompose", "zstar", "2^20000*Z"),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 1, args
+        assert result.stdout == ""
+        payload = json.loads(result.stderr)
+        assert payload == {"error": "OutputLimitError", "message": f"cannot print a number longer than the limit of {limit} digits"}
+
+
 def test_expansion_limit_error_is_structured():
     result = run_cli("classify", "(Z+star(Z)+dag(Z)+1)^200")
     assert result.returncode == 1

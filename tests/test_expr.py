@@ -15,6 +15,7 @@ from bcpoly import (
     ExprSyntaxError,
     GaussianRational,
     JsonFormatError,
+    OutputLimitError,
     format_function,
     function_from_json,
     function_to_json,
@@ -162,6 +163,30 @@ def test_integer_literal_past_the_digit_limit():
         assert err.value.pos == pos
 
 
+def test_numbers_past_the_digit_limit_are_refused_on_output():
+    # expansion and evaluation can build numbers that str() refuses; every
+    # printer names the limit instead
+    big = parse("2^20000")  # 6021 digits
+    huge_exponent = parse(f"(Z^{'9' * 3000})^{'9' * 3000}")
+    value = big.evaluate(1)
+    printers = [
+        lambda: format_function(big), lambda: function_to_json(big), lambda: function_to_json_obj(big),
+        lambda: str(value), lambda: value.to_json(), lambda: str(value.alpha), lambda: value.alpha.to_json(),
+        lambda: format_function(huge_exponent), lambda: function_to_json(huge_exponent),
+    ]
+    for limit in (sys.get_int_max_str_digits(), 5000):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for printer in printers:
+                with pytest.raises(OutputLimitError) as err:
+                    printer()
+                assert str(err.value) == f"cannot print a number longer than the limit of {limit} digits"
+        finally:
+            sys.set_int_max_str_digits(old)
+    assert isinstance(err.value, BicomplexError)
+
+
 def test_unary_minus_chain_of_any_length():
     assert parse("-" * 1200 + "Z") == BicomplexFunction.variable()
     assert parse("-" * 1201 + "Z") == -BicomplexFunction.variable()
@@ -289,6 +314,39 @@ def test_json_errors_name_paths():
     assert "exponents" in str(err.value)
 
 
+_ONE = ["1", "1", "0", "1"]
+
+# malformed term lists, each with the message the checks in order give
+_MALFORMED_TERMS = [
+    ([[True, 0, 0, 0, _ONE]], "[0]: exponents must be nonnegative integers"),
+    ([[0, 0, -1, 0, _ONE]], "[0]: exponents must be nonnegative integers"),
+    ([[0, 1.0, 0, 0, _ONE]], "[0]: exponents must be nonnegative integers"),
+    ([[0, 0, 0, 0, "1/2"]], "[0][4]: expected an array of 4 integer strings"),
+    ([[0, 0, 0, 0, ["1", "1", "0"]]], "[0][4]: expected an array of 4 integer strings"),
+    ([[0, 0, 0, 0, [None, "1", "0", "1"]]], "[0][4][0:2]: numerator/denominator must be decimal integer strings"),
+    ([[0, 0, 0, 0, ["1", "1", "0", []]]], "[0][4][2:4]: numerator/denominator must be decimal integer strings"),
+    ([[0, 0, 0, 0, ["1", "1", "x", "1"]]], "[0][4][2:4]: numerator/denominator must be decimal integer strings"),
+    ([[0, 0, 0, 0, ["1", "0", "0", "1"]]], "[0][4][0:2]: denominator must be positive"),
+    ([[0, 0, 0, 0, ["1", "1", "1", "-2"]]], "[0][4][2:4]: denominator must be positive"),
+    ([[0, 0, 0, 0, ["0", "5", "1", "1"]]], "[0][4][0:2]: fraction 0/5 is not in lowest terms"),
+    ([[0, 0, 0, 0, ["1", "1", "2", "4"]]], "[0][4][2:4]: fraction 2/4 is not in lowest terms"),
+    ([[1, 0, 0, 0, _ONE], [0, 0, 0, 0, _ONE], [1, 0, 0, 0, ["2", "1", "0", "1"]]], "[2]: duplicate monomial (1, 0, 0, 0)"),
+    ([[0, 0, 0, 0, _ONE], [0, 1, 0, 0, ["0", "1", "0", "1"]]], "[1]: explicit zero coefficient"),
+    ([[0, 0, 0, 0, _ONE], "x"], "[1]: expected [a, b, c, d, coeff]"),
+    ([[0, 0, 0, _ONE]], "[0]: expected [a, b, c, d, coeff]"),
+    ({"a": 1}, ": expected a list of terms"),
+]
+
+
+@pytest.mark.parametrize("terms, message", _MALFORMED_TERMS)
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_malformed_json_terms_give_the_message_of_their_first_broken_rule(terms, message, side):
+    obj = {"plus": [], "minus": [], side: terms}
+    with pytest.raises(JsonFormatError) as err:
+        function_from_json_obj(obj)
+    assert str(err.value) == f"function.{side}{message}"
+
+
 def test_operator_json_round_trip():
     op = laplacian(3) + laplacian(1).scale(GaussianRational(0, 2))
     obj = operator_to_json_obj(op)
@@ -317,15 +375,11 @@ def test_seeded_round_trip_bulk():
 # ---- canonical text: the term kernel against the reader
 
 
-def _forms(value):
-    return [(list(nums.items()), den) for nums, den in value]
-
-
 def _assert_kernel_reads_as_reader(text):
     budget, reader = _Budget(), _Reader(text, True)
     kernel = _read_canonical(text, budget)
     assert kernel is not None
-    assert _forms(kernel) == _forms(reader.read())
+    assert [list(p.terms.items()) for p in kernel] == [list(_poly(form).terms.items()) for form in reader.read()]
     assert budget.work == reader.work
 
 
@@ -408,6 +462,18 @@ def test_canonical_sum_over_growing_denominators_is_charged():
     _assert_kernel_reads_as_reader(text)
     f = parse(text, raw=True)
     assert list(f.plus.terms.items()) == [((n, 0, 0, 0), GaussianRational(Fraction(1, p))) for n, p in enumerate(primes[:1000])]
+    assert f.minus.is_zero()
+
+
+def test_canonical_sum_over_growing_denominators_is_read_once():
+    # the reader rescales its sum at each new denominator; the kernel only
+    # tracks the common denominator to charge the same work
+    primes = _primes(1500)
+    text = _canonical_sum([Fraction(1, p)] for p in primes)
+    start = time.perf_counter()
+    f = parse(text, raw=True)
+    assert time.perf_counter() - start < 0.5
+    assert list(f.plus.terms.items()) == [((n, 0, 0, 0), GaussianRational(Fraction(1, p))) for n, p in enumerate(primes)]
     assert f.minus.is_zero()
 
 

@@ -1,16 +1,18 @@
-"""The Gaussian-rational product and the kernels of ``Poly4`` against the
-reference routines of ``reference_poly``, and the expression reader on a
-large round trip."""
+"""The Gaussian-rational product, the kernels of ``Poly4`` and
+``BicomplexFunction.evaluate`` against the reference routines of
+``reference_poly``, and the expression reader on a large round trip."""
 
 import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 
-from bcpoly import GaussianRational, format_function, parse
+from bcpoly import Bicomplex, GaussianRational, format_function, parse
+from bcpoly import polyfun
 from bcpoly.operators import WIRTINGER_KINDS, laplacian, wirtinger
-from bcpoly.polyfun import BicomplexFunction, Poly4
+from bcpoly.polyfun import MAX_EVAL_BITS, BicomplexFunction, EvalLimitError, Poly4
 
 from reference_poly import ref_apply, ref_diff, ref_gr_mul, ref_mul, ref_pow, ref_substitute
 from strategies import fractions_small, gaussians, monomials
@@ -128,6 +130,81 @@ def test_substitute_with_denominators_and_high_exponents():
     a, b = GaussianRational(Fraction(1, 3), Fraction(2, 5)), GaussianRational(Fraction(3, 7), Fraction(5, 11))
     values = (a, a.conjugate(), b, b.conjugate())
     assert p.substitute(values) == ref_substitute(p, values)
+
+
+def _refused_per_component(p: Poly4, values) -> bool:
+    """The evaluation bound, applied to one component: the top exponent of
+    each variable times the longest number of its value, summed."""
+    tops = [max((key[var] for key in p.terms), default=0) for var in range(4)]
+    bits = [max(n.bit_length() for n in (v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator)) for v in values]
+    return sum(top * b for top, b in zip(tops, bits)) > MAX_EVAL_BITS
+
+
+def eval_polys():
+    return st.one_of(st.just(Poly4.zero()), one_term_polys(), cancelling_polys(), mixed_polys())
+
+
+def eval_coordinates():
+    """Zero, small or 256- to 4096-bit parts."""
+    parts = st.one_of(st.just(Fraction(0)), fractions_small(), big_fractions())
+    return st.builds(GaussianRational, parts, parts)
+
+
+@settings(deadline=None)
+@given(eval_polys(), eval_polys(), eval_coordinates(), eval_coordinates())
+def test_evaluate_matches_reference_per_component(plus, minus, alpha, beta):
+    f = BicomplexFunction(plus, minus)
+    values = (alpha, alpha.conjugate(), beta, beta.conjugate())
+    if _refused_per_component(plus, values) or _refused_per_component(minus, values):
+        with pytest.raises(EvalLimitError):
+            f.evaluate(Bicomplex(alpha, beta))
+        return
+    value = f.evaluate(Bicomplex(alpha, beta))
+    assert value.alpha == ref_substitute(plus, values)
+    assert value.beta == ref_substitute(minus, values)
+    # the form that evaluation cached leaves the polynomials as they were
+    assert f == BicomplexFunction(plus, minus) and f.evaluate(Bicomplex(alpha, beta)) == value
+
+
+def test_evaluation_bound_is_per_component():
+    # alpha^3 on one side and beta^3 on the other each stay within the
+    # bound; together they would not
+    alpha = GaussianRational(Fraction(1, 3 ** 700), 1)
+    beta = GaussianRational(5 ** 500, Fraction(1, 7))
+    assert 3 * alpha.re.denominator.bit_length() <= MAX_EVAL_BITS < 3 * (alpha.re.denominator.bit_length() + beta.re.numerator.bit_length())
+    f = BicomplexFunction(Poly4({(3, 0, 0, 0): 1}), Poly4({(0, 0, 0, 3): 1}))
+    assert f.evaluate(Bicomplex(alpha, beta)) == Bicomplex(alpha ** 3, beta.conjugate() ** 3)
+    with pytest.raises(EvalLimitError):
+        BicomplexFunction(Poly4({(3, 0, 0, 3): 1}), Poly4.zero()).evaluate(Bicomplex(alpha, beta))
+
+
+def test_evaluate_sums_each_component_over_its_own_denominator(monkeypatch):
+    # Z^12 uses alpha on one side and beta on the other: each component's
+    # sum stays over its own powers of the coordinates' denominators, as in
+    # Poly4.substitute, not over the top exponents of both components
+    f = parse("Z^12")
+    point = Bicomplex(GaussianRational(Fraction(2, 3), Fraction(-5, 7)), GaussianRational(Fraction(11, 13), Fraction(1, 17)))
+    values = (point.alpha, point.alpha.conjugate(), point.beta, point.beta.conjugate())
+    denominators = []
+
+    def recording_fraction(*args):
+        denominators.append(args[1:])
+        return Fraction(*args)
+
+    monkeypatch.setattr(polyfun, "Fraction", recording_fraction)
+    value = f.evaluate(point)
+    separate = Bicomplex(f.plus.substitute(values), f.minus.substitute(values))
+    assert value == separate
+    assert denominators == [(21 ** 12,)] * 2 + [(221 ** 12,)] * 2 + [(21 ** 12,)] * 2 + [(221 ** 12,)] * 2
+
+
+def test_evaluate_reuses_the_form_of_the_reader():
+    # the reader's form may keep a denominator that the coefficients no
+    # longer need; the value is the same
+    f = parse("(2*Z + 2*star(Z))/4 + dag(Z)^3/6")
+    point = Bicomplex(GaussianRational(Fraction(1, 3), 2), GaussianRational(-1, Fraction(5, 7)))
+    values = (point.alpha, point.alpha.conjugate(), point.beta, point.beta.conjugate())
+    assert f.evaluate(point) == Bicomplex(ref_substitute(f.plus, values), ref_substitute(f.minus, values))
 
 
 # the operator components in use: d1-d7, and the Wirtinger operators with

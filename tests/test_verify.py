@@ -130,7 +130,7 @@ def test_wrong_sign_in_canonical_kernel_is_caught(monkeypatch):
 
     def flipped(text, budget):
         value = read(text, budget)
-        return value and tuple(({key: (re, -im) for key, (re, im) in nums.items()}, den) for nums, den in value)
+        return value and tuple(Poly4._raw({key: c.conjugate() for key, c in p.terms.items()}) for p in value)
 
     monkeypatch.setattr(expr, "_read_canonical", flipped)
     _assert_caught(("serialization",))
