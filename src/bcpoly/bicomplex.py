@@ -16,12 +16,11 @@ A product of two Gaussian rationals, times an optional integer factor, is
 computed on the integer numerators and denominators of their parts: each
 part of the result is one integer numerator over the common denominator of
 the four parts, reduced once.
-Only when a part's denominator passes ``_MUL_DEN_BITS`` bits does the
-product fall back to ``Fraction``'s cross-reduced operators, which win there.
 
 Every printed number goes through one renderer, ``_number_text``, which
 raises ``OutputLimitError`` for a number past Python's int-to-string digit
-limit (``sys.get_int_max_str_digits()``).
+limit (``sys.get_int_max_str_digits()``); a ``repr`` shows such a number by
+its bit length instead, so it never raises.
 """
 
 from __future__ import annotations
@@ -93,6 +92,19 @@ def _output_limit_error() -> OutputLimitError:
     return OutputLimitError(f"cannot print a number longer than the limit of {limit} digits")
 
 
+def _int_repr(n: int) -> str:
+    """``repr(n)``, or ``<b-bit int>`` (signed) past the digit limit."""
+    try:
+        return repr(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit int>"
+
+
+def _fraction_repr(q: Fraction) -> str:
+    """``repr(q)``, its parts through ``_int_repr``."""
+    return f"Fraction({_int_repr(q.numerator)}, {_int_repr(q.denominator)})"
+
+
 def _signed_unit_term(num: int, den: int, unit: str) -> str:
     """Render (num/den)*unit with num != 0, e.g. ``i``, ``-i``, ``3/2*k``."""
     if den == 1 and (num == 1 or num == -1):
@@ -135,11 +147,18 @@ def _lowest_terms(n: int, d: int) -> Fraction | None:
 
 
 def _fraction_from_strings(num: str, den: str, path: str, part: str) -> Fraction:
-    """The fraction num/den of two integer strings, in lowest terms over a
-    positive denominator; errors name ``path + part``."""
+    """The fraction num/den of two decimal strings (``-?[0-9]+``, ASCII
+    digits only), in lowest terms over a positive denominator; errors name
+    ``path + part``."""
     try:
+        # on text of ASCII digits and minus signs, int() takes exactly
+        # -?[0-9]+: the spaces, underscores, plus signs and other digits it
+        # also takes are refused here
+        digits = num + den
+        if not (digits.isascii() and digits.replace("-", "").isdigit()):
+            raise ValueError
         n, d = int(num), int(den)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, AttributeError):  # not two str, not decimal, or past the digit limit
         raise BicomplexError(f"{path}{part}: numerator/denominator must be decimal integer strings")
     if d <= 0:
         raise BicomplexError(f"{path}{part}: denominator must be positive")
@@ -150,12 +169,6 @@ def _fraction_from_strings(num: str, den: str, path: str, part: str) -> Fraction
 
 
 _FRACTION_ZERO = Fraction(0)
-
-# Above this many bits in a part's denominator, one gcd per part over the
-# whole product costs more than the cross-reduced ``Fraction`` operators
-# (Knuth, TAOCP vol. 2, 4.5.1), whose gcds run on numbers a quarter or half
-# that size; the two break even at parts of about 1024 bits.
-_MUL_DEN_BITS = 1024
 
 
 class GaussianRational:
@@ -231,8 +244,6 @@ class GaussianRational:
         a, b, c, d = self.re, self.im, other.re, other.im
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
         cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
-        if (ad | bd | cd | dd).bit_length() > _MUL_DEN_BITS:
-            return GaussianRational((a * c - b * d) * k, (a * d + b * c) * k)
         den = ad * bd * cd * dd
         p, q = an * cn, bn * dn
         re = Fraction((p * bd * dd - q * ad * cd) * k, den) if p or q else _FRACTION_ZERO
@@ -296,7 +307,7 @@ class GaussianRational:
         return _join_terms(_rational_terms((self.re, self.im), ("", "i")))
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return f"GaussianRational({_fraction_repr(self.re)}, {_fraction_repr(self.im)})"
 
     def to_json(self) -> list[str]:
         """Four decimal strings: [re_num, re_den, im_num, im_den]."""
@@ -376,6 +387,9 @@ class Hyperbolic:
 
     def __str__(self):
         return str(self.to_bicomplex())
+
+    def __repr__(self):
+        return f"Hyperbolic(x_plus={_fraction_repr(self.x_plus)}, x_minus={_fraction_repr(self.x_minus)})"
 
 
 class Bicomplex:

@@ -4,7 +4,8 @@ Subcommands: ``eval``, ``apply``, ``classify``, ``decompose``, ``verify``,
 ``paper-examples``.  Machine output is JSON on stdout (compact with
 ``--json``, indented otherwise where JSON is the natural shape); domain
 errors are reported as structured JSON on stderr.  Exit codes: 0 success,
-1 evaluation/verification failure, 2 usage error.
+1 evaluation/verification failure, 2 usage error.  Each command returns its
+stdout text and exit code; ``main`` alone prints them, or the error.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ _OPERATOR_NAMES = {
 
 DECOMPOSE_KINDS = ("conjbasis", "zstar", "almansi", "rehyp-holo", "rehyp-a1", "main")
 
+# The largest operator power ``apply`` takes.  The power of a two-term
+# operator such as d7 is built by repeated squaring on ever longer
+# coefficients: on a 2-core x86 VM d7^256 takes about 0.02 s and d7^4000
+# half a minute.
+_MAX_OPERATOR_POWER = 256
+
 
 class UsageError(Exception):
     pass
@@ -56,15 +63,6 @@ class UsageError(Exception):
 
 def _dumps(obj, compact: bool) -> str:
     return _json_text(obj, separators=(",", ":")) if compact else _json_text(obj, indent=2)
-
-
-def _domain_error(exc: Exception) -> int:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    condition = getattr(exc, "condition", None)
-    if condition is not None:
-        payload["condition"] = condition
-    print(json.dumps(payload, separators=(",", ":")), file=sys.stderr)
-    return FAILURE
 
 
 def _parse_operator_spec(spec: str):
@@ -79,90 +77,65 @@ def _parse_operator_spec(spec: str):
             raise UsageError(f"bad operator power {power_text!r}") from None
         if power < 0:
             raise UsageError("operator power must be nonnegative")
+        if power > _MAX_OPERATOR_POWER:
+            raise UsageError(f"operator power {power} is past the limit of {_MAX_OPERATOR_POWER}")
     return _OPERATOR_NAMES[name]() ** power
-
-
-def _usage(message: str) -> int:
-    print(json.dumps({"error": "UsageError", "message": message}), file=sys.stderr)
-    return USAGE_ERROR
 
 
 def _index_key(index) -> str:
     return ",".join(str(part) for part in index)
 
 
-def cmd_eval(args) -> int:
-    try:
-        fn = parse(args.expr, raw=args.raw_idempotent)
-        point = parse_point(args.at)
-        value = fn.evaluate(point)
-        out = _dumps(value.to_json(), compact=True) if args.json else str(value)
-    except BicomplexError as exc:
-        return _domain_error(exc)
-    print(out)
-    return 0
+def cmd_eval(args) -> tuple[str, int]:
+    value = parse(args.expr, raw=args.raw_idempotent).evaluate(parse_point(args.at))
+    return (_dumps(value.to_json(), compact=True) if args.json else str(value)), 0
 
 
-def cmd_apply(args) -> int:
+def cmd_apply(args) -> tuple[str, int]:
     operator = _parse_operator_spec(args.operator)
-    try:
-        fn = parse(args.expr, raw=args.raw_idempotent)
-        image = operator.apply(fn)
-        out = _dumps(function_to_json_obj(image), compact=True) if args.json else format_function(image)
-    except BicomplexError as exc:
-        return _domain_error(exc)
-    print(out)
-    return 0
+    image = operator.apply(parse(args.expr, raw=args.raw_idempotent))
+    return (_dumps(function_to_json_obj(image), compact=True) if args.json else format_function(image)), 0
 
 
-def cmd_classify(args) -> int:
-    try:
-        fn = parse(args.expr, raw=args.raw_idempotent)
-        out = _dumps(classification_report(fn), compact=args.json)
-    except BicomplexError as exc:
-        return _domain_error(exc)
-    print(out)
-    return 0
+def cmd_classify(args) -> tuple[str, int]:
+    return _dumps(classification_report(parse(args.expr, raw=args.raw_idempotent)), compact=args.json), 0
 
 
-def cmd_decompose(args) -> int:
-    try:
-        fn = parse(args.expr, raw=args.raw_idempotent)
-        if args.kind == "conjbasis":
-            expansion = expand_conjugate_basis(fn)
-            payload = {
-                _index_key(index): function_to_json_obj(coeff)
-                for index, coeff in sorted(expansion.coeffs.items())
-            }
-        elif args.kind == "zstar":
-            layers = expand_zstar(fn)
-            payload = {str(i): function_to_json_obj(layer) for i, layer in enumerate(layers)}
-        elif args.kind == "almansi":
-            dec = almansi_bicomplex(fn)
-            payload = {str(i): function_to_json_obj(part) for i, part in enumerate(dec.parts)}
-        elif args.kind == "rehyp-holo":
-            payload = function_to_json_obj(rehyp_to_holomorphic(fn))
-        elif args.kind == "rehyp-a1":
-            inverted, orders = rehyp_to_polyholomorphic_A1(fn)
-            payload = {"function": function_to_json_obj(inverted), "orders": list(orders)}
-        else:  # main
-            if args.n is None or args.k is None:
-                return _usage("the 'main' decomposition needs --n and --k kernel bounds")
-            dec = main_decomposition(fn, args.n, args.k)
-            payload = {
-                "G": {_index_key(i): function_to_json_obj(c) for i, c in sorted(dec.coeffs.items())},
-                "f": (
-                    {_index_key(i): function_to_json_obj(c) for i, c in sorted(dec.inverted.items())}
-                    if dec.inverted is not None
-                    else None
-                ),
-                "non_real": [list(entry) for entry in dec.non_real],
-            }
-        out = _dumps(payload, compact=args.json)
-    except BicomplexError as exc:
-        return _domain_error(exc)
-    print(out)
-    return 0
+def cmd_decompose(args) -> tuple[str, int]:
+    fn = parse(args.expr, raw=args.raw_idempotent)
+    if args.kind == "conjbasis":
+        expansion = expand_conjugate_basis(fn)
+        payload = {
+            _index_key(index): function_to_json_obj(coeff)
+            for index, coeff in sorted(expansion.coeffs.items())
+        }
+    elif args.kind == "zstar":
+        layers = expand_zstar(fn)
+        payload = {str(i): function_to_json_obj(layer) for i, layer in enumerate(layers)}
+    elif args.kind == "almansi":
+        dec = almansi_bicomplex(fn)
+        payload = {str(i): function_to_json_obj(part) for i, part in enumerate(dec.parts)}
+    elif args.kind == "rehyp-holo":
+        payload = function_to_json_obj(rehyp_to_holomorphic(fn))
+    elif args.kind == "rehyp-a1":
+        inverted, orders = rehyp_to_polyholomorphic_A1(fn)
+        payload = {"function": function_to_json_obj(inverted), "orders": list(orders)}
+    else:  # main
+        if args.n is None or args.k is None:
+            raise UsageError("the 'main' decomposition needs --n and --k kernel bounds")
+        if args.n < 1 or args.k < 1:
+            raise UsageError("the 'main' decomposition needs kernel bounds --n and --k of at least 1")
+        dec = main_decomposition(fn, args.n, args.k)
+        payload = {
+            "G": {_index_key(i): function_to_json_obj(c) for i, c in sorted(dec.coeffs.items())},
+            "f": (
+                {_index_key(i): function_to_json_obj(c) for i, c in sorted(dec.inverted.items())}
+                if dec.inverted is not None
+                else None
+            ),
+            "non_real": [list(entry) for entry in dec.non_real],
+        }
+    return _dumps(payload, compact=args.json), 0
 
 
 def _trial_percentiles(durations: list[float]) -> str:
@@ -174,11 +147,15 @@ def _trial_percentiles(durations: list[float]) -> str:
     return f"{len(ranked)} trials\tp50 {p50:.6f} s\tp90 {p90:.6f} s"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     for name in names:
         if name not in SUITE_NAMES:
-            return _usage(f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)} or 'all'")
+            raise UsageError(f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)} or 'all'")
+    if args.max_degree < 0:
+        raise UsageError("--max-degree must be at least 0")
+    if args.coeff_bound < 1:
+        raise UsageError("--coeff-bound must be at least 1")
     results = []
     for name in names:
         durations: list[float] = []
@@ -187,14 +164,13 @@ def cmd_verify(args) -> int:
         results.append(run_suite(name, args.trials, args.seed, args.max_degree, args.coeff_bound, on_trial))
         if args.timings:
             print(f"{name}\t{perf_counter() - start:.3f} s\t{_trial_percentiles(durations)}", file=sys.stderr)
-    print(report_to_json(results, indent=None if args.json else 2))
-    return 0 if sum(result.failures for result in results) == 0 else FAILURE
+    failed = sum(result.failures for result in results)
+    return report_to_json(results, indent=None if args.json else 2), (FAILURE if failed else 0)
 
 
-def cmd_paper_examples(args) -> int:
+def cmd_paper_examples(args) -> tuple[str, int]:
     checks = run_checks()
-    print(_dumps(checks, compact=args.json))
-    return 0 if all(check["pass"] for check in checks) else FAILURE
+    return _dumps(checks, compact=args.json), (0 if all(check["pass"] for check in checks) else FAILURE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,9 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out, code = args.func(args)
     except UsageError as exc:
-        return _usage(str(exc))
+        print(json.dumps({"error": "UsageError", "message": str(exc)}), file=sys.stderr)
+        return USAGE_ERROR
+    except BicomplexError as exc:
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+        condition = getattr(exc, "condition", None)
+        if condition is not None:
+            payload["condition"] = condition
+        print(json.dumps(payload, separators=(",", ":")), file=sys.stderr)
+        return FAILURE
+    print(out)
+    return code
 
 
 if __name__ == "__main__":

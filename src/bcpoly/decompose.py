@@ -30,7 +30,7 @@ from typing import Optional
 from .bicomplex import BicomplexError
 from .classify import annihilation_order, class_membership, pair_polyharmonic_order
 from .operators import laplacian, wirtinger
-from .polyfun import PAIR_ALPHA, PAIR_BETA, BicomplexFunction, Poly4
+from .polyfun import _PAIRS, PAIR_ALPHA, PAIR_BETA, BicomplexFunction, Poly4
 
 __all__ = [
     "NotInClass",
@@ -84,13 +84,21 @@ class ConjugateExpansion:
     coeffs: dict[tuple[int, int, int], BicomplexFunction]
 
     def reconstruct(self) -> BicomplexFunction:
-        star = BicomplexFunction.variable_star()
-        dagger = BicomplexFunction.variable_dagger()
-        tilde = BicomplexFunction.variable_tilde()
-        total = BicomplexFunction.zero()
-        for (l1, l2, l3), coeff in self.coeffs.items():
-            total = total + (star ** l1) * (tilde ** l2) * (dagger ** l3) * coeff
-        return total
+        bases = (BicomplexFunction.variable_star(), BicomplexFunction.variable_tilde(), BicomplexFunction.variable_dagger())
+        return _power_sum(self.coeffs, bases)
+
+
+def _power_sum(coeffs: dict, bases: tuple):
+    """The sum over ``coeffs`` of each coefficient times the product of the
+    ``bases`` (functions, or polynomials) raised to the exponents of its
+    index: the reconstruction of every expansion here.  Each base has one
+    term in each component, so each product only shifts keys."""
+    total = type(bases[0]).zero()
+    for index, coeff in coeffs.items():
+        for base, exponent in zip(bases, index):
+            coeff = base ** exponent * coeff
+        total = total + coeff
+    return total
 
 
 def _merge_groups(plus_groups: dict, minus_groups: dict) -> dict:
@@ -127,18 +135,8 @@ def expand_zstar(fn: BicomplexFunction) -> list[BicomplexFunction]:
             "conjugate-power expansion needs each component on its own variable pair "
             "(plus on alpha/conj-alpha, minus on beta/conj-beta)"
         )
-    order = member.zstar_order or 0
-    plus_groups = fn.plus.group_by((1,))
-    minus_groups = fn.minus.group_by((3,))
-    layers = []
-    for t in range(order):
-        layers.append(
-            BicomplexFunction(
-                plus_groups.get((t,), Poly4.zero()),
-                minus_groups.get((t,), Poly4.zero()),
-            )
-        )
-    return layers
+    layers = _merge_groups(fn.plus.group_by((1,)), fn.minus.group_by((3,)))
+    return [layers.get((t,), BicomplexFunction.zero()) for t in range(member.zstar_order or 0)]
 
 
 @dataclass(frozen=True)
@@ -159,28 +157,17 @@ class AlmansiDecomposition:
 
     def reconstruct(self):
         if self.pair is not None:
-            z, zbar = PAIR_ALPHA if self.pair == "alpha" else PAIR_BETA
-            weight_key = [0, 0, 0, 0]
-            weight_key[z] = 1
-            weight_key[zbar] = 1
-            weight = Poly4.monomial(tuple(weight_key))
-            total = Poly4.zero()
-            for t, part in enumerate(self.parts):
-                total = total + (weight ** t) * part
-            return total
-        weight = BicomplexFunction.variable() * BicomplexFunction.variable_star()
-        total = BicomplexFunction.zero()
-        for t, part in enumerate(self.parts):
-            total = total + (weight ** t) * part
-        return total
+            z, zbar = _PAIRS[self.pair]
+            weight = Poly4.variable(z) * Poly4.variable(zbar)
+        else:
+            weight = BicomplexFunction.variable() * BicomplexFunction.variable_star()
+        return _power_sum({(t,): part for t, part in enumerate(self.parts)}, (weight,))
 
 
 def _pair_indices(pair: str) -> tuple[int, int]:
-    if pair == "alpha":
-        return PAIR_ALPHA
-    if pair == "beta":
-        return PAIR_BETA
-    raise ValueError(f"pair must be 'alpha' or 'beta', got {pair!r}")
+    if pair not in _PAIRS:
+        raise ValueError(f"pair must be 'alpha' or 'beta', got {pair!r}")
+    return _PAIRS[pair]
 
 
 def _almansi_layers(poly: Poly4, pair: tuple[int, int]) -> list[Poly4]:
@@ -234,17 +221,15 @@ def repart_to_polyanalytic(poly: Poly4, pair: str = "alpha") -> Poly4:
     indices = _pair_indices(pair)
     if not poly.uses_only(indices):
         raise MixedPairError(f"polynomial must use only the {pair} variable pair")
+    # the other pair's exponents are zero, so bar-fixed is the symmetry
+    if not poly.is_bar_fixed():
+        raise NotRealValued(
+            "coefficient symmetry c[q,p] = conj(c[p,q]) fails; the input is not real-valued"
+        )
     z, zbar = indices
     out: dict = {}
     for key, coeff in poly.terms.items():
         p, q = key[z], key[zbar]
-        mirror = list(key)
-        mirror[z], mirror[zbar] = q, p
-        partner = poly.terms.get(tuple(mirror))
-        if partner is None or partner != coeff.conjugate():
-            raise NotRealValued(
-                "coefficient symmetry c[q,p] = conj(c[p,q]) fails; the input is not real-valued"
-            )
         if p > q:
             out[key] = coeff * 2
         elif p == q:
@@ -302,6 +287,10 @@ def rehyp_to_polyholomorphic_A1(fn: BicomplexFunction) -> tuple[BicomplexFunctio
     return inverted, orders
 
 
+# the bases of the two-index kernel decomposition
+_DAGGER_TILDE = (BicomplexFunction.variable_dagger(), BicomplexFunction.variable_tilde())
+
+
 @dataclass(frozen=True)
 class MainDecomposition:
     """Two-index kernel decomposition of a hyperbolic-valued function.
@@ -321,7 +310,7 @@ class MainDecomposition:
     non_real: tuple[tuple[str, int, int], ...] = field(default_factory=tuple)
 
     def reconstruct(self) -> BicomplexFunction:
-        return self._weighted_sum(self.coeffs)
+        return _power_sum(self.coeffs, _DAGGER_TILDE)
 
     def reconstruct_from_inverted(self) -> BicomplexFunction:
         if self.inverted is None:
@@ -329,16 +318,7 @@ class MainDecomposition:
                 "no refined form: some coefficient functions are not real-valued"
             )
         rehyps = {index: fn.hyperbolic_part() for index, fn in self.inverted.items()}
-        return self._weighted_sum(rehyps)
-
-    @staticmethod
-    def _weighted_sum(coeffs: dict[tuple[int, int], BicomplexFunction]) -> BicomplexFunction:
-        dagger = BicomplexFunction.variable_dagger()
-        tilde = BicomplexFunction.variable_tilde()
-        total = BicomplexFunction.zero()
-        for (l1, l2), coeff in coeffs.items():
-            total = total + coeff * (dagger ** l1) * (tilde ** l2)
-        return total
+        return _power_sum(rehyps, _DAGGER_TILDE)
 
 
 def main_decomposition(fn: BicomplexFunction, bound_dagger: int, bound_tilde: int) -> MainDecomposition:

@@ -23,7 +23,7 @@ from math import lcm, perm
 from typing import Iterable, Optional
 
 from .bicomplex import Bicomplex, BicomplexError, GaussianRational
-from .bicomplex import DAGGER, STAR, TILDE, _check_kind
+from .bicomplex import DAGGER, STAR, TILDE, _check_kind, _int_repr
 
 __all__ = ["Poly4", "BicomplexFunction", "EvalLimitError", "MAX_EVAL_BITS", "NVARS", "PAIR_ALPHA", "PAIR_BETA"]
 
@@ -32,6 +32,7 @@ Monomial = tuple[int, int, int, int]
 
 PAIR_ALPHA = (0, 1)
 PAIR_BETA = (2, 3)
+_PAIRS = {"alpha": PAIR_ALPHA, "beta": PAIR_BETA}  # pair name -> (z, zbar) indices
 
 _ZERO_MONO: Monomial = (0, 0, 0, 0)
 
@@ -405,7 +406,9 @@ class Poly4:
         return sorted(self.terms.items(), key=lambda item: item[0])
 
     def __repr__(self):
-        return f"Poly4({dict(self.sorted_terms())!r})"
+        # ``repr`` of the terms dict, each exponent through ``_int_repr``
+        terms = ", ".join(f"({', '.join(map(_int_repr, key))}): {coeff!r}" for key, coeff in self.sorted_terms())
+        return f"Poly4({{{terms}}})"
 
 
 class _Pair:

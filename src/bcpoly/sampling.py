@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .bicomplex import Bicomplex, GaussianRational
 from .operators import Operator
-from .polyfun import BicomplexFunction, Poly4
+from .polyfun import _PAIRS, BicomplexFunction, Poly4
 
 __all__ = ["Sampler"]
 
@@ -105,19 +105,20 @@ class Sampler:
 
     # --------------------------------------------------- constrained classes
 
-    def pair_poly(self, pair: str, max_degree: int | None = None, terms: int | None = None) -> Poly4:
+    def _pair_box(self, pair: str, max_degree: int | None) -> Box:
+        """The degree box of ``pair``'s two variables, 0 in the others."""
         d = self.max_degree if max_degree is None else max_degree
-        box = (d, d, 0, 0) if pair == "alpha" else (0, 0, d, d)
-        return self.poly(box, terms)
+        return tuple(d if var in _PAIRS[pair] else 0 for var in range(4))  # type: ignore[return-value]
+
+    def pair_poly(self, pair: str, max_degree: int | None = None, terms: int | None = None) -> Poly4:
+        return self.poly(self._pair_box(pair, max_degree), terms)
 
     def real_valued_pair_poly(self, pair: str, max_degree: int | None = None) -> Poly4:
-        d = self.max_degree if max_degree is None else max_degree
-        box = (d, d, 0, 0) if pair == "alpha" else (0, 0, d, d)
-        return self.bar_fixed_poly(box)
+        return self.bar_fixed_poly(self._pair_box(pair, max_degree))
 
     def holomorphic_poly(self, pair: str, real_constant: bool = False) -> Poly4:
         """Polynomial in alpha only (pair 'alpha') or beta only (pair 'beta')."""
-        var = 0 if pair == "alpha" else 2
+        var = _PAIRS[pair][0]
         out: dict = {}
         for _ in range(self._int(1, 4)):
             key = [0, 0, 0, 0]
@@ -262,7 +263,7 @@ class Sampler:
 
     def _non_bar_fixed_pair_poly(self, pair: str) -> Poly4:
         """A pair polynomial that is definitely not real-valued."""
-        z, zbar = (0, 1) if pair == "alpha" else (2, 3)
+        z, zbar = _PAIRS[pair]
         while True:
             poly = self.pair_poly(pair)
             key = [0, 0, 0, 0]

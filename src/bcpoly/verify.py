@@ -44,7 +44,7 @@ from .expr import (
     parse,
 )
 from .operators import Operator, laplacian, wirtinger
-from .polyfun import PAIR_ALPHA, PAIR_BETA, BicomplexFunction, Poly4
+from .polyfun import _PAIRS, PAIR_ALPHA, BicomplexFunction, Poly4
 from .sampling import Sampler
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "DEFAULT_TRIALS", "run_suite", "run_suites", "report_to_json"]
@@ -266,7 +266,7 @@ def _trial_almansi(s: Sampler, flags: dict) -> Optional[dict]:
     dec = almansi_complex(poly, pair)
     if dec.reconstruct() != poly:
         return _fail("complex-reconstruction", pair=pair)
-    indices = PAIR_ALPHA if pair == "alpha" else PAIR_BETA
+    indices = _PAIRS[pair]
     for part in dec.parts:
         if not part.diff(indices[0]).diff(indices[1]).is_zero():
             return _fail("complex-part-harmonic", pair=pair)

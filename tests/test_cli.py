@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
+
+from bcpoly.cli import _MAX_OPERATOR_POWER, main
 
 CLI = [sys.executable, "-m", "bcpoly"]
 # the CLI runs from this checkout's sources, installed or not
@@ -106,6 +111,16 @@ def test_apply_powered_star_derivative():
 def test_apply_unknown_operator_is_usage_error():
     result = run_cli("apply", "d9", "Z")
     assert result.returncode == 2
+
+
+def test_operator_power_past_the_limit_is_refused_at_once():
+    # the golden CLI table pins the output; this pins the time
+    err = io.StringIO()
+    start = perf_counter()
+    with contextlib.redirect_stderr(err):
+        assert main(["apply", "d7^100000", "Z"]) == 2
+    assert perf_counter() - start < 1
+    assert json.loads(err.getvalue())["message"] == f"operator power 100000 is past the limit of {_MAX_OPERATOR_POWER}"
 
 
 def test_classify_cross_term():

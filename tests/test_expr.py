@@ -347,6 +347,32 @@ def test_malformed_json_terms_give_the_message_of_their_first_broken_rule(terms,
     assert str(err.value) == f"function.{side}{message}"
 
 
+# coefficient parts the JSON readers refuse: a part is a str of ASCII
+# digits after an optional minus sign, and nothing else
+_BAD_PARTS = [" 1", "1 ", "1_0", "+5", "", "-", "1.0", "\u0663", "\uff11", 3.9, 1, True, None]
+
+
+@pytest.mark.parametrize("part", _BAD_PARTS)
+def test_json_parts_must_be_decimal_strings(part):
+    message = "numerator/denominator must be decimal integer strings"
+    for parts, where in (([part, "1", "0", "1"], "[0:2]"), (["1", "1", "0", part], "[2:4]")):
+        with pytest.raises(JsonFormatError) as err:
+            function_from_json_obj({"plus": [[0, 0, 0, 0, parts]], "minus": []})
+        assert str(err.value) == f"function.plus[0][4]{where}: {message}"
+        with pytest.raises(JsonFormatError) as err:
+            operator_from_json_obj({"op_plus": [], "op_minus": [[0, 0, 0, 0, parts]]})
+        assert str(err.value) == f"operator.op_minus[0][4]{where}: {message}"
+        with pytest.raises(BicomplexError) as err:
+            Bicomplex.from_json(["1", "1", "0", "1", *parts])
+        assert str(err.value) == f"bicomplex[4:8]{where}: {message}"
+
+
+def test_lenient_json_text_is_refused():
+    for parts in ('[" 1_0",3.9,"0",true]', "[1,2,0,1]", '[[1],["2"],"0","1"]'):
+        with pytest.raises(JsonFormatError, match=r"function\.plus\[0\]\[4\]\[0:2\]"):
+            function_from_json('{"plus":[[0,0,0,0,%s]],"minus":[]}' % parts)
+
+
 def test_operator_json_round_trip():
     op = laplacian(3) + laplacian(1).scale(GaussianRational(0, 2))
     obj = operator_to_json_obj(op)

@@ -1,7 +1,9 @@
-"""Classification and decomposition CLI outputs pinned byte for byte.
+"""CLI outputs pinned byte for byte.
 
 ``golden/classify_decompose.json`` holds, for each argument list below, the
-exit code, stdout and stderr of ``bcpoly``.  After a deliberate output
+exit code, stdout and stderr of ``bcpoly``: classification and every
+decomposition kind, every README command line, the JSON forms of the other
+commands, and each error path.  After a deliberate output
 change, regenerate it with ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
@@ -49,6 +51,64 @@ ARGVS = [
 ]
 # the README's main invocation, whose output is indented
 ARGVS.append(["decompose", "main", "(a+ac)*(b+bc)", "--raw-idempotent", "--n", "2", "--k", "2"])
+# the conjugate-power expansion, which refuses inputs outside the first kind
+ARGVS += [["decompose", "zstar", expr, "--json", *(["--raw-idempotent"] if raw else [])] for expr, raw in EXPRESSIONS]
+# the README command lines not listed above
+ARGVS += [
+    ["eval", "Z^2", "--at", "1 + j"],
+    ["eval", "rehyp(Z)", "--at", "1+2i+3j+4k"],
+    ["apply", "d1", "(a+ac)*(b+bc)", "--raw-idempotent"],
+    ["apply", "dZs^2", "star(Z)"],
+    ["classify", "(a+ac)*(b+bc)", "--raw-idempotent", "--json"],
+    ["classify", "(a+ac)*(b+bc)", "--raw-idempotent"],
+    ["classify", "0 | a*ac", "--raw-idempotent"],
+    ["decompose", "conjbasis", "2*ac*(b+bc) | 2*bc*(a+ac)", "--raw-idempotent"],
+    ["verify", "all", "--seed", "7"],
+    ["paper-examples"],
+    ["eval", "Z^4096", "--at", "1+j"],
+    ["eval", "Z^1000000000", "--at", "1+j"],
+    ["eval", "2^20000", "--at", "1"],
+]
+# the JSON forms of the other commands
+ARGVS += [
+    ["apply", "d7^2", "(Z*star(Z))^3", "--json"],
+    ["eval", "Z^2 + 3*i", "--at", "1+2i+3j+4k", "--json"],
+    ["paper-examples", "--json"],
+    ["verify", "core-algebra", "--trials", "3", "--json"],
+    ["verify", "paper-examples", "--json"],
+]
+# error paths: usage errors exit 2, domain errors 1, each with nothing on
+# stdout; an operator spec is checked before the expression is read, and
+# the expression before the 'main' kernel bounds
+ARGVS += [
+    ["apply", "d9", "Z"],
+    ["apply", "d9", "Z+"],
+    ["apply", "d1^x", "Z"],
+    ["apply", "d1^-1", "Z"],
+    ["apply", "d1", "Z+"],
+    ["decompose", "main", "(a+ac)*(b+bc)", "--raw-idempotent", "--k", "2"],
+    ["decompose", "main", "Z+"],
+    ["decompose", "main", "Z", "--n", "2", "--k", "2"],
+    ["decompose", "zstar", "dag(Z)"],
+    ["eval", "Z+", "--at", "1"],
+    ["eval", "Z", "--at", "1+q"],
+    ["classify", "Z +* 2"],
+    ["classify", "(Z+star(Z)+dag(Z)+1)^200"],
+    ["verify", "nosuch"],
+]
+# bad numeric options and operator powers past the limit are usage errors,
+# each checked where the parent checked its neighbours
+ARGVS += [
+    ["decompose", "main", "Z", "--n", "0", "--k", "1"],
+    ["decompose", "main", "Z+", "--n", "0", "--k", "1"],
+    ["decompose", "main", "(a+ac)*(b+bc)", "--raw-idempotent", "--n", "2", "--k", "-1"],
+    ["verify", "core-algebra", "--max-degree", "-1"],
+    ["verify", "core-algebra", "--coeff-bound", "0"],
+    ["verify", "nosuch", "--max-degree", "-1"],
+    ["apply", "d7^100000", "Z"],
+    ["apply", "d7^257", "Z+"],
+    ["apply", "d7^256", "(Z*star(Z))^3", "--json"],
+]
 
 
 def run(argv):

@@ -95,9 +95,8 @@ def test_pow_matches_reference(p, n):
 
 
 def one_term_polys():
-    """One term, its coefficient's parts small or with denominators past
-    the 1024 bits where the Gaussian-rational product falls back to
-    ``Fraction``'s operators."""
+    """One term, its coefficient's parts small or with denominators of 256
+    to 4096 bits, so the integer product also meets long parts."""
     parts = st.one_of(st.just(Fraction(0)), fractions_small(), big_fractions())
     coeff = st.builds(GaussianRational, parts, parts).filter(lambda g: not g.is_zero())
     return st.builds(lambda key, c: Poly4({key: c}), monomials(3), coeff)

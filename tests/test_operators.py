@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 
-from bcpoly import Operator, laplacian, wirtinger
+from bcpoly import GaussianRational, Hyperbolic, Operator, laplacian, parse, wirtinger
 from bcpoly.polyfun import BicomplexFunction, Poly4
 
 from strategies import functions, polys
@@ -184,6 +186,17 @@ def test_repr_names_the_class():
     assert repr(BicomplexFunction(Poly4.variable(1), Poly4.zero())) == (
         "BicomplexFunction(Poly4({(0, 1, 0, 0): GaussianRational(Fraction(1, 1), Fraction(0, 1))}), Poly4({}))"
     )
+
+
+def test_repr_past_the_digit_limit_shows_bit_lengths():
+    one = "GaussianRational(Fraction(1, 1), Fraction(0, 1))"
+    big = "GaussianRational(Fraction(<20001-bit int>, 1), Fraction(0, 1))"
+    assert repr(parse("2^20000")) == f"BicomplexFunction(Poly4({{(0, 0, 0, 0): {big}}}), Poly4({{(0, 0, 0, 0): {big}}}))"
+    assert repr(GaussianRational(Fraction(1, 10 ** 5000), -(2 ** 20000))) == (
+        "GaussianRational(Fraction(1, <16610-bit int>), Fraction(-<20001-bit int>, 1))"
+    )
+    assert repr(Hyperbolic(2 ** 20000, Fraction(-1, 3))) == "Hyperbolic(x_plus=Fraction(<20001-bit int>, 1), x_minus=Fraction(-1, 3))"
+    assert repr(Poly4.monomial((10 ** 5000, 0, 2, 0))) == f"Poly4({{(<16610-bit int>, 0, 2, 0): {one}}})"
 
 
 def test_zero_operator_is_truthy_and_zero_function_is_not():
