@@ -334,8 +334,6 @@ def _operand(value):
     return NotImplemented
 
 
-GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
 

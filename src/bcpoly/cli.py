@@ -40,12 +40,12 @@ from .worked_examples import run_checks
 USAGE_ERROR = 2
 FAILURE = 1
 
-_OPERATOR_NAMES = {
-    "dZ": lambda: wirtinger("Z"),
-    "dZs": lambda: wirtinger("Zstar"),
-    "dZd": lambda: wirtinger("Zdagger"),
-    "dZt": lambda: wirtinger("Ztilde"),
-    **{f"d{i}": (lambda i=i: laplacian(i)) for i in range(1, 8)},
+_OPERATORS = {
+    "dZ": wirtinger("Z"),
+    "dZs": wirtinger("Zstar"),
+    "dZd": wirtinger("Zdagger"),
+    "dZt": wirtinger("Ztilde"),
+    **{f"d{i}": laplacian(i) for i in range(1, 8)},
 }
 
 DECOMPOSE_KINDS = ("conjbasis", "zstar", "almansi", "rehyp-holo", "rehyp-a1", "main")
@@ -67,7 +67,7 @@ def _dumps(obj, compact: bool) -> str:
 
 def _parse_operator_spec(spec: str):
     name, _, power_text = spec.partition("^")
-    if name not in _OPERATOR_NAMES:
+    if name not in _OPERATORS:
         raise UsageError(f"unknown operator {name!r}; expected dZ, dZs, dZd, dZt or d1..d7")
     power = 1
     if power_text:
@@ -79,7 +79,7 @@ def _parse_operator_spec(spec: str):
             raise UsageError("operator power must be nonnegative")
         if power > _MAX_OPERATOR_POWER:
             raise UsageError(f"operator power {power} is past the limit of {_MAX_OPERATOR_POWER}")
-    return _OPERATOR_NAMES[name]() ** power
+    return _OPERATORS[name] ** power
 
 
 def _index_key(index) -> str:
@@ -152,6 +152,8 @@ def cmd_verify(args) -> tuple[str, int]:
     for name in names:
         if name not in SUITE_NAMES:
             raise UsageError(f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)} or 'all'")
+    if args.trials is not None and args.trials < 0:
+        raise UsageError("--trials must be at least 0")
     if args.max_degree < 0:
         raise UsageError("--max-degree must be at least 0")
     if args.coeff_bound < 1:

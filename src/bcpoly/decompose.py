@@ -164,9 +164,12 @@ class AlmansiDecomposition:
         return _power_sum({(t,): part for t, part in enumerate(self.parts)}, (weight,))
 
 
-def _pair_indices(pair: str) -> tuple[int, int]:
+def _pair_indices(poly: Poly4, pair: str) -> tuple[int, int]:
+    """The (z, zbar) indices of the named pair, which ``poly`` must use alone."""
     if pair not in _PAIRS:
         raise ValueError(f"pair must be 'alpha' or 'beta', got {pair!r}")
+    if not poly.uses_only(_PAIRS[pair]):
+        raise MixedPairError(f"polynomial must use only the {pair} variable pair")
     return _PAIRS[pair]
 
 
@@ -188,9 +191,7 @@ def _almansi_layers(poly: Poly4, pair: tuple[int, int]) -> list[Poly4]:
 
 def almansi_complex(poly: Poly4, pair: str = "alpha") -> AlmansiDecomposition:
     """Layered harmonic decomposition of a polynomial in one variable pair."""
-    indices = _pair_indices(pair)
-    if not poly.uses_only(indices):
-        raise MixedPairError(f"polynomial must use only the {pair} variable pair")
+    indices = _pair_indices(poly, pair)
     return AlmansiDecomposition(tuple(_almansi_layers(poly, indices)), pair=pair)
 
 
@@ -218,9 +219,7 @@ def repart_to_polyanalytic(poly: Poly4, pair: str = "alpha") -> Poly4:
     weight one; then Re f = u exactly and the conjugate-exponent order of f
     equals the layer count of u.  No output monomial has q > p.
     """
-    indices = _pair_indices(pair)
-    if not poly.uses_only(indices):
-        raise MixedPairError(f"polynomial must use only the {pair} variable pair")
+    indices = _pair_indices(poly, pair)
     # the other pair's exponents are zero, so bar-fixed is the symmetry
     if not poly.is_bar_fixed():
         raise NotRealValued(

@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from itertools import islice
+from itertools import islice, starmap
 from math import lcm
 
 from .bicomplex import Bicomplex, BicomplexError, GaussianRational
@@ -149,10 +149,6 @@ def _kind(token) -> str:
     if token.isdecimal():
         return "int"
     return token if token in _SYMBOLS else "name"
-
-
-def _poly(form: tuple[dict, int]) -> Poly4:
-    return _poly_of_form(*form)
 
 
 def _rescale_charge(n_terms: int, den: int, term_den: int, charge) -> int:
@@ -397,7 +393,7 @@ class _Reader(_Budget):
             plus, minus = self.nested(start + 1)
             self.comps = outer
             self.charge(_CALL_PAIRS * (len(plus[0]) + len(minus[0])))
-            value = func(BicomplexFunction(_poly(plus), _poly(minus)))
+            value = func(BicomplexFunction(_poly_of_form(*plus), _poly_of_form(*minus)))
             return tuple(
                 _integer_form((value.plus, value.minus)[c].terms) if c in outer else None for c in (0, 1)
             )
@@ -421,19 +417,20 @@ _CANONICAL_TERM = re.compile(
 
 def _read_canonical(text: str, budget: _Budget) -> tuple[Poly4, Poly4] | None:
     """The components that ``_Reader(text, True).read()`` gives for the
-    canonical text of a function, read one term per match, each coefficient
+    canonical text of a function, as ``format_poly`` prints it: each monomial
+    once, in ascending order.  Read one term per match, each coefficient
     straight from its printed parts; None at the first thing that is not a
-    canonical term, for the reader to read the whole text.  Terms come in
-    the reader's order, and the common denominator the reader would rescale
-    its sum to is kept only to charge the same work, through
-    ``_rescale_charge`` as in ``_add_into``."""
+    canonical term, an out-of-order or repeated monomial included, for the
+    reader to read the whole text.  Terms come in the reader's order, and the
+    common denominator the reader would rescale its sum to is kept only to
+    charge the same work, through ``_rescale_charge`` as in ``_add_into``."""
     mid = text.find(" | ") if isinstance(text, str) else -1
     if mid < 0:
         return None
     value = []
     try:
         for pos, end in ((0, mid), (mid + 3, len(text))):
-            terms, den = None, 1
+            terms, den, last = None, 1, ()
             if end == pos + 1 and text[pos] == "0":
                 terms, pos = {}, end
             while pos < end:
@@ -454,16 +451,12 @@ def _read_canonical(text: str, budget: _Budget) -> tuple[Poly4, Poly4] | None:
                     return None
                 coeff = GaussianRational(re, im)
                 key = tuple([0 if p is None else int(p[1:] or 1) for p in powers])
+                if key <= last:  # out of order or repeated: not printed text
+                    return None
                 if terms is None:
                     terms = {}
                 den = _rescale_charge(len(terms), den, lcm(re_den, im_den), budget.charge)
-                old = terms.get(key)
-                if old is None:
-                    terms[key] = coeff
-                elif (coeff := old + coeff).is_zero():
-                    del terms[key]
-                else:
-                    terms[key] = coeff
+                terms[key], last = coeff, key
             if terms is None:
                 return None
             value.append(Poly4._raw(terms))
@@ -485,7 +478,7 @@ def parse(text: str, raw: bool = False) -> BicomplexFunction:
     """
     value = _read_canonical(text, _Budget()) if raw else None
     if value is None:
-        value = map(_poly, _Reader(text, raw).read())
+        value = starmap(_poly_of_form, _Reader(text, raw).read())
     return BicomplexFunction(*value)
 
 

@@ -467,15 +467,6 @@ class _Pair:
         return f"{type(self).__name__}({self.plus!r}, {self.minus!r})"
 
 
-# component polynomials of the coordinate functions, as (plus, minus) pairs:
-#   Z      -> (alpha, beta)            Z^dagger -> (beta, alpha)
-#   Z^*    -> (conj a, conj b)         Z~       -> (conj b, conj a)
-_COMPONENTS_Z = (Poly4.variable(0), Poly4.variable(2))
-_COMPONENTS_ZD = (Poly4.variable(2), Poly4.variable(0))
-_COMPONENTS_ZS = (Poly4.variable(1), Poly4.variable(3))
-_COMPONENTS_ZT = (Poly4.variable(3), Poly4.variable(1))
-
-
 class BicomplexFunction(_Pair):
     """A polynomial map of the bicomplex plane, stored componentwise."""
 
@@ -497,20 +488,20 @@ class BicomplexFunction(_Pair):
 
     @classmethod
     def variable(cls) -> "BicomplexFunction":
-        """The identity function Z."""
-        return cls(*_COMPONENTS_Z)
+        """The identity function Z, with components (alpha, beta)."""
+        return cls(Poly4.variable(0), Poly4.variable(2))
 
     @classmethod
     def variable_dagger(cls) -> "BicomplexFunction":
-        return cls(*_COMPONENTS_ZD)
+        return cls.variable()._conj(DAGGER)
 
     @classmethod
     def variable_star(cls) -> "BicomplexFunction":
-        return cls(*_COMPONENTS_ZS)
+        return cls.variable()._conj(STAR)
 
     @classmethod
     def variable_tilde(cls) -> "BicomplexFunction":
-        return cls(*_COMPONENTS_ZT)
+        return cls.variable()._conj(TILDE)
 
     def __bool__(self):
         return not self.is_zero()

@@ -89,32 +89,30 @@ class Sampler:
             out[self.monomial_key(box)] = self.gaussian(nonzero=True)
         return Poly4._raw(out)
 
-    def bar_fixed_poly(self, box: Box | None = None, terms: int | None = None) -> Poly4:
+    def bar_fixed_poly(self, box: Box | None = None) -> Poly4:
         """A real-valued polynomial: p + bar(p) for a random p."""
-        half = self.poly(box, terms)
+        half = self.poly(box)
         return half + half.bar()
 
-    def function(self, box: Box | None = None, terms: int | None = None) -> BicomplexFunction:
-        return BicomplexFunction(self.poly(box, terms), self.poly(box, terms))
+    def function(self) -> BicomplexFunction:
+        return BicomplexFunction(self.poly(), self.poly())
 
-    def operator(self, max_order: int = 2, terms: int | None = None) -> Operator:
-        box = (max_order,) * 4
-        if terms is None:
-            terms = self._int(1, 3)
+    def operator(self) -> Operator:
+        box, terms = (2, 2, 2, 2), self._int(1, 3)
         return Operator(self.poly(box, terms), self.poly(box, terms))
 
     # --------------------------------------------------- constrained classes
 
-    def _pair_box(self, pair: str, max_degree: int | None) -> Box:
+    def _pair_box(self, pair: str) -> Box:
         """The degree box of ``pair``'s two variables, 0 in the others."""
-        d = self.max_degree if max_degree is None else max_degree
+        d = self.max_degree
         return tuple(d if var in _PAIRS[pair] else 0 for var in range(4))  # type: ignore[return-value]
 
-    def pair_poly(self, pair: str, max_degree: int | None = None, terms: int | None = None) -> Poly4:
-        return self.poly(self._pair_box(pair, max_degree), terms)
+    def pair_poly(self, pair: str) -> Poly4:
+        return self.poly(self._pair_box(pair))
 
-    def real_valued_pair_poly(self, pair: str, max_degree: int | None = None) -> Poly4:
-        return self.bar_fixed_poly(self._pair_box(pair, max_degree))
+    def real_valued_pair_poly(self, pair: str) -> Poly4:
+        return self.bar_fixed_poly(self._pair_box(pair))
 
     def holomorphic_poly(self, pair: str, real_constant: bool = False) -> Poly4:
         """Polynomial in alpha only (pair 'alpha') or beta only (pair 'beta')."""
@@ -138,12 +136,11 @@ class Sampler:
             self.holomorphic_poly("beta", real_constants),
         )
 
-    def hyperbolic_valued_function(self, box: Box | None = None) -> BicomplexFunction:
-        return BicomplexFunction(self.bar_fixed_poly(box), self.bar_fixed_poly(box))
+    def hyperbolic_valued_function(self) -> BicomplexFunction:
+        return BicomplexFunction(self.bar_fixed_poly(), self.bar_fixed_poly())
 
-    def real_valued_function(self, box: Box | None = None) -> BicomplexFunction:
-        shared = self.bar_fixed_poly(box)
-        return BicomplexFunction.from_shared(shared)
+    def real_valued_function(self) -> BicomplexFunction:
+        return BicomplexFunction.from_shared(self.bar_fixed_poly())
 
     def _anchored_pair_component(self, var: int, conj_var: int, order: int, normalized: bool) -> Poly4:
         """Polynomial on one pair with exact conjugate-variable order

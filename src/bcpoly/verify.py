@@ -47,7 +47,23 @@ from .operators import Operator, laplacian, wirtinger
 from .polyfun import _PAIRS, PAIR_ALPHA, BicomplexFunction, Poly4
 from .sampling import Sampler
 
-__all__ = ["SuiteResult", "SUITE_NAMES", "DEFAULT_TRIALS", "run_suite", "run_suites", "report_to_json"]
+__all__ = ["SuiteResult", "SUITE_NAMES", "DEFAULT_TRIALS", "run_suite", "report_to_json"]
+
+# The conjugation composition law on values: second∘first == expected.  An
+# operator kind is the value kind with "_op" appended.
+_ROTATIONS = (
+    ("dagger", "tilde", "star"),
+    ("tilde", "dagger", "star"),
+    ("star", "tilde", "dagger"),
+    ("tilde", "star", "dagger"),
+    ("star", "dagger", "tilde"),
+    ("dagger", "star", "tilde"),
+)
+
+# The worked example's real cross term, outside the Z^* class; parsed once
+# here, not by the full reader on every almansi-roundtrip trial
+_CROSS_TERM = worked_examples.real_cross_term()
+
 
 @dataclass
 class SuiteResult:
@@ -100,15 +116,7 @@ def _trial_core_algebra(s: Sampler, flags: dict) -> Optional[dict]:
     for kind in ("dagger", "tilde", "star"):
         if z.conjugate(kind).conjugate(kind) != z:
             return _fail("conjugation-involution", kind=kind, z=str(z))
-    rotations = (
-        ("dagger", "tilde", "star"),
-        ("tilde", "dagger", "star"),
-        ("star", "tilde", "dagger"),
-        ("tilde", "star", "dagger"),
-        ("star", "dagger", "tilde"),
-        ("dagger", "star", "tilde"),
-    )
-    for first, second, expected in rotations:
+    for first, second, expected in _ROTATIONS:
         if z.conjugate(first).conjugate(second) != z.conjugate(expected):
             return _fail("conjugation-rotation", pair=f"{second}∘{first}", z=str(z))
     round_trip = Bicomplex.from_cartesian(z.z1, z.z2)
@@ -123,17 +131,9 @@ def _trial_conjugation_rotation(s: Sampler, flags: dict) -> Optional[dict]:
     for kind in kinds:
         if op.conjugate(kind).conjugate(kind) != op:
             return _fail("op-involution", kind=kind)
-    rotations = (
-        ("star_op", "dagger_op", "tilde_op"),
-        ("dagger_op", "star_op", "tilde_op"),
-        ("star_op", "tilde_op", "dagger_op"),
-        ("tilde_op", "star_op", "dagger_op"),
-        ("dagger_op", "tilde_op", "star_op"),
-        ("tilde_op", "dagger_op", "star_op"),
-    )
-    for first, second, expected in rotations:
-        if op.conjugate(first).conjugate(second) != op.conjugate(expected):
-            return _fail("op-rotation", pair=f"{second}∘{first}")
+    for first, second, expected in _ROTATIONS:
+        if op.conjugate(first + "_op").conjugate(second + "_op") != op.conjugate(expected + "_op"):
+            return _fail("op-rotation", pair=f"{second}_op∘{first}_op")
     pairs = (("star_op", "Zstar"), ("dagger_op", "Zdagger"), ("tilde_op", "Ztilde"))
     for kind, target in pairs:
         if wirtinger("Z").conjugate(kind) != wirtinger(target):
@@ -304,7 +304,7 @@ def _trial_almansi(s: Sampler, flags: dict) -> Optional[dict]:
     if rebuilt != member or (layers and layers[-1].is_zero()):
         return _fail("zstar-reconstruction", f=format_function(member))
     try:
-        expand_zstar(worked_examples.real_cross_term())
+        expand_zstar(_CROSS_TERM)
     except NotInClass:
         pass
     else:
@@ -473,13 +473,14 @@ def run_suite(
     """Run one suite.  ``on_trial``, if given, receives each trial's wall
     seconds as it finishes; the fixed ``paper-examples`` block has no
     trials of its own and never calls it.  The result does not depend on it."""
-    if name == "paper-examples":
-        count = DEFAULT_TRIALS[name] if trials is None else trials
-        return _run_paper_examples(count, seed)
-    if name not in _TRIAL_SUITES:
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")
-    trial_fn, default_trials = _TRIAL_SUITES[name]
-    count = default_trials if trials is None else trials
+    if trials is not None and trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    count = DEFAULT_TRIALS[name] if trials is None else trials
+    if name == "paper-examples":
+        return _run_paper_examples(count, seed)
+    trial_fn = _TRIAL_SUITES[name][0]
     sampler = Sampler(seed, max_degree, coeff_bound)
     failures = 0
     first: Optional[dict] = None
@@ -494,16 +495,6 @@ def run_suite(
             if first is None:
                 first = {"trial": trial, **outcome}
     return SuiteResult(name, count, failures, seed, first, flags)
-
-
-def run_suites(
-    names,
-    trials: Optional[int] = None,
-    seed: int = 0,
-    max_degree: int = 4,
-    coeff_bound: int = 9,
-) -> list[SuiteResult]:
-    return [run_suite(name, trials, seed, max_degree, coeff_bound) for name in names]
 
 
 def report_to_json(results: list[SuiteResult], indent: Optional[int] = None) -> str:

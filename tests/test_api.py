@@ -15,7 +15,10 @@ import bcpoly
 
 GOLDEN = Path(__file__).parent / "golden" / "api.txt"
 
-CLASSES = (bcpoly.Bicomplex, bcpoly.BicomplexFunction, bcpoly.Operator, bcpoly.Poly4)
+CLASSES = (
+    bcpoly.Bicomplex, bcpoly.BicomplexFunction, bcpoly.GaussianRational, bcpoly.Hyperbolic,
+    bcpoly.Operator, bcpoly.Poly4, bcpoly.Sampler,
+)
 
 DUNDERS = (
     "__init__", "__eq__", "__hash__", "__bool__", "__repr__",

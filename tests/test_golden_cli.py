@@ -109,6 +109,11 @@ ARGVS += [
     ["apply", "d7^257", "Z+"],
     ["apply", "d7^256", "(Z*star(Z))^3", "--json"],
 ]
+# a negative trial count is a usage error, checked beside the other numbers
+ARGVS += [
+    ["verify", "core-algebra", "--trials", "-5"],
+    ["verify", "paper-examples", "--trials", "-1"],
+]
 
 
 def run(argv):

@@ -4,7 +4,7 @@ import pytest
 
 from bcpoly import GaussianRational, classify, expr, polyfun
 from bcpoly.polyfun import Poly4
-from bcpoly.verify import DEFAULT_TRIALS, SUITE_NAMES, report_to_json, run_suite, run_suites
+from bcpoly.verify import DEFAULT_TRIALS, SUITE_NAMES, report_to_json, run_suite
 
 
 def test_every_suite_passes_at_small_counts():
@@ -15,8 +15,8 @@ def test_every_suite_passes_at_small_counts():
 
 
 def test_reports_are_deterministic():
-    first = report_to_json(run_suites(SUITE_NAMES, trials=30, seed=11))
-    second = report_to_json(run_suites(SUITE_NAMES, trials=30, seed=11))
+    first = report_to_json([run_suite(name, trials=30, seed=11) for name in SUITE_NAMES])
+    second = report_to_json([run_suite(name, trials=30, seed=11) for name in SUITE_NAMES])
     assert first == second
 
 
@@ -30,6 +30,12 @@ def test_zero_trials_is_a_vacuous_pass():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("bogus", trials=1, seed=0)
+
+
+@pytest.mark.parametrize("name", ["mainthm-i", "paper-examples"])
+def test_negative_trial_count_rejected(name):
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        run_suite(name, trials=-3, seed=0)
 
 
 def test_suite_names_cover_the_required_set():
