@@ -7,6 +7,7 @@ randomized verification harness.
 """
 
 from .bicomplex import (
+    ArgumentError,
     Bicomplex,
     BicomplexError,
     GaussianRational,

@@ -28,11 +28,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Union
 
 __all__ = [
     "BicomplexError",
+    "ArgumentError",
     "NullConeError",
     "OutputLimitError",
     "GaussianRational",
@@ -56,6 +57,11 @@ class BicomplexError(Exception):
     """Base class for the domain errors raised by this package."""
 
 
+class ArgumentError(BicomplexError, ValueError):
+    """A public function called with an argument outside its domain, such
+    as an unknown name or a negative count; a ``ValueError`` too."""
+
+
 class NullConeError(BicomplexError, ZeroDivisionError):
     """Inversion of a zero divisor (a value with alpha*beta = 0)."""
 
@@ -75,7 +81,7 @@ CONJUGATION_KINDS = (DAGGER, TILDE, STAR)
 
 def _check_kind(kind: str) -> None:
     if kind not in CONJUGATION_KINDS:
-        raise ValueError(f"unknown conjugation kind {kind!r}; expected one of {CONJUGATION_KINDS}")
+        raise ArgumentError(f"unknown conjugation kind {kind!r}; expected one of {CONJUGATION_KINDS}")
 
 
 def _number_text(num: int, den: int = 1) -> str:
@@ -136,20 +142,16 @@ def _join_terms(terms: list[str]) -> str:
     return out
 
 
-def _lowest_terms(n: int, d: int) -> Fraction | None:
-    """n/d when d > 0 and the fraction is in lowest terms; None otherwise."""
-    if d == 1:
-        return Fraction(n) if n else _FRACTION_ZERO
-    if d <= 0:
-        return None
-    q = Fraction(n, d)
-    return q if q.denominator == d else None
+def _in_lowest_terms(n: int, d: int) -> bool:
+    """True when n/d is in lowest terms over a positive denominator, zero
+    as 0/1: the check of every reader of printed numbers."""
+    return d > 0 and gcd(n, d) == 1
 
 
-def _fraction_from_strings(num: str, den: str, path: str, part: str) -> Fraction:
-    """The fraction num/den of two decimal strings (``-?[0-9]+``, ASCII
-    digits only), in lowest terms over a positive denominator; errors name
-    ``path + part``."""
+def _ints_from_strings(num: str, den: str, path: str, part: str) -> tuple[int, int]:
+    """The integers of the fraction num/den of two decimal strings
+    (``-?[0-9]+``, ASCII digits only), in lowest terms over a positive
+    denominator; errors name ``path + part``."""
     try:
         # on text of ASCII digits and minus signs, int() takes exactly
         # -?[0-9]+: the spaces, underscores, plus signs and other digits it
@@ -162,10 +164,17 @@ def _fraction_from_strings(num: str, den: str, path: str, part: str) -> Fraction
         raise BicomplexError(f"{path}{part}: numerator/denominator must be decimal integer strings")
     if d <= 0:
         raise BicomplexError(f"{path}{part}: denominator must be positive")
-    q = _lowest_terms(n, d)
-    if q is None:
+    if not _in_lowest_terms(n, d):
         raise BicomplexError(f"{path}{part}: fraction {n}/{d} is not in lowest terms")
-    return q
+    return n, d
+
+
+def _parts_from_json(data, path: str) -> tuple[int, int, int, int]:
+    """The parts (re_num, re_den, im_num, im_den) of a coefficient's JSON
+    form, four decimal strings; errors name ``path``."""
+    if not isinstance(data, (list, tuple)) or len(data) != 4:
+        raise BicomplexError(f"{path}: expected an array of 4 integer strings")
+    return (*_ints_from_strings(data[0], data[1], path, "[0:2]"), *_ints_from_strings(data[2], data[3], path, "[2:4]"))
 
 
 _FRACTION_ZERO = Fraction(0)
@@ -317,11 +326,8 @@ class GaussianRational:
 
     @classmethod
     def from_json(cls, data, path: str = "coeff") -> "GaussianRational":
-        if not isinstance(data, (list, tuple)) or len(data) != 4:
-            raise BicomplexError(f"{path}: expected an array of 4 integer strings")
-        re = _fraction_from_strings(data[0], data[1], path, "[0:2]")
-        im = _fraction_from_strings(data[2], data[3], path, "[2:4]")
-        return cls(re, im)
+        re_num, re_den, im_num, im_den = _parts_from_json(data, path)
+        return cls(Fraction(re_num, re_den), Fraction(im_num, im_den))
 
 
 def _operand(value):

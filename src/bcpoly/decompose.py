@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Optional
 
-from .bicomplex import BicomplexError
+from .bicomplex import ArgumentError, BicomplexError
 from .classify import annihilation_order, class_membership, pair_polyharmonic_order
 from .operators import laplacian, wirtinger
 from .polyfun import _PAIRS, PAIR_ALPHA, PAIR_BETA, BicomplexFunction, Poly4
@@ -167,7 +167,7 @@ class AlmansiDecomposition:
 def _pair_indices(poly: Poly4, pair: str) -> tuple[int, int]:
     """The (z, zbar) indices of the named pair, which ``poly`` must use alone."""
     if pair not in _PAIRS:
-        raise ValueError(f"pair must be 'alpha' or 'beta', got {pair!r}")
+        raise ArgumentError(f"pair must be 'alpha' or 'beta', got {pair!r}")
     if not poly.uses_only(_PAIRS[pair]):
         raise MixedPairError(f"polynomial must use only the {pair} variable pair")
     return _PAIRS[pair]
@@ -332,7 +332,7 @@ def main_decomposition(fn: BicomplexFunction, bound_dagger: int, bound_tilde: in
     possible and reported instead of guessed around.
     """
     if bound_dagger < 1 or bound_tilde < 1:
-        raise ValueError("kernel bounds must be at least 1")
+        raise ArgumentError("kernel bounds must be at least 1")
     if not fn.is_hyperbolic_valued():
         raise NotHyperbolicValued("input must be hyperbolic-valued (components fixed by bar)")
     _require_kernel(fn, f"dZdagger^{bound_dagger}-kernel", wirtinger("Zdagger"), bound_dagger)

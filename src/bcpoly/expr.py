@@ -35,9 +35,11 @@ printed term per match of ``_CANONICAL_TERM``, each coefficient built from
 its printed parts, which are in lowest terms, with the reader's results,
 work charges, limits and errors: at the first text that is not a printed
 term, the reader reads the whole text.  The JSON codecs are bit-exact round
-trips over the same sorted term lists.  Every printed number goes through
-one renderer, which raises ``OutputLimitError`` past Python's int-to-string
-digit limit.
+trips over the same sorted term lists.  Every reader returns polynomials
+that store their coefficients as lowest-terms integer parts, which the
+printers read; their Gaussian-rational terms are built only when read.
+Every printed number goes through one renderer, which raises
+``OutputLimitError`` past Python's int-to-string digit limit.
 """
 
 from __future__ import annotations
@@ -48,12 +50,12 @@ import sys
 from itertools import islice, starmap
 from math import lcm
 
-from .bicomplex import Bicomplex, BicomplexError, GaussianRational
+from .bicomplex import Bicomplex, BicomplexError
 from .bicomplex import DAGGER, E_MINUS, E_PLUS, I, J, K, STAR, TILDE
-from .bicomplex import _join_terms, _lowest_terms, _number_text, _output_limit_error, _signed_unit_term
+from .bicomplex import _in_lowest_terms, _join_terms, _number_text, _output_limit_error, _parts_from_json, _signed_unit_term
 from .operators import Operator
 from .polyfun import BicomplexFunction, Poly4
-from .polyfun import _ZERO_MONO, _integer_form, _mul_nums, _poly_of_form, _pow_form
+from .polyfun import _ZERO_MONO, _PartsPoly4, _from_integer_form, _integer_form, _mul_nums, _poly_of_form, _pow_form
 
 __all__ = [
     "ExprSyntaxError",
@@ -105,7 +107,7 @@ _FUNCS = {
 # the values of the named atoms, as integer forms per component; shared,
 # so no rule may add into them
 _ATOMS = {
-    name: (_integer_form(fn.plus.terms), _integer_form(fn.minus.terms))
+    name: (_integer_form(fn.plus), _integer_form(fn.minus))
     for name, fn in (
         ("Z", BicomplexFunction.variable()),
         *((name, BicomplexFunction.constant(unit)) for name, unit in
@@ -393,9 +395,9 @@ class _Reader(_Budget):
             plus, minus = self.nested(start + 1)
             self.comps = outer
             self.charge(_CALL_PAIRS * (len(plus[0]) + len(minus[0])))
-            value = func(BicomplexFunction(_poly_of_form(*plus), _poly_of_form(*minus)))
+            value = func(BicomplexFunction(Poly4._raw(_from_integer_form(*plus)), Poly4._raw(_from_integer_form(*minus))))
             return tuple(
-                _integer_form((value.plus, value.minus)[c].terms) if c in outer else None for c in (0, 1)
+                _integer_form((value.plus, value.minus)[c]) if c in outer else None for c in (0, 1)
             )
         raise self.error(f"expected an atom, found {_kind(token)!r}", start)
 
@@ -445,21 +447,20 @@ def _read_canonical(text: str, budget: _Budget) -> tuple[Poly4, Poly4] | None:
                     return None
                 negative = sep == " - " or sep == "-"
                 re_num, re_den, im_num, im_den = int(re_n), int(re_d or 1), int(im_n or 1), int(im_d or 1)
-                re = _lowest_terms(-re_num if (re_sign == "-") != negative else re_num, re_den)
-                im = _lowest_terms(-im_num if (im_sign == "-") != negative else im_num, im_den)
-                if re is None or im is None:
+                re_num = -re_num if (re_sign == "-") != negative else re_num
+                im_num = -im_num if (im_sign == "-") != negative else im_num
+                if not (_in_lowest_terms(re_num, re_den) and _in_lowest_terms(im_num, im_den)):
                     return None
-                coeff = GaussianRational(re, im)
                 key = tuple([0 if p is None else int(p[1:] or 1) for p in powers])
                 if key <= last:  # out of order or repeated: not printed text
                     return None
                 if terms is None:
                     terms = {}
                 den = _rescale_charge(len(terms), den, lcm(re_den, im_den), budget.charge)
-                terms[key], last = coeff, key
+                terms[key], last = (re_num, re_den, im_num, im_den), key
             if terms is None:
                 return None
-            value.append(Poly4._raw(terms))
+            value.append(_PartsPoly4(terms))
     except ValueError:  # a number past int's digit limit, which the reader reports
         return None
     except ExprLimitError:
@@ -492,20 +493,18 @@ def parse_point(text: str) -> Bicomplex:
 
 # ---------------------------------------------------------------- printing
 
-def _coeff_prefix(coeff: GaussianRational, has_monomial: bool) -> str:
-    """Render a coefficient, with trailing '*' when a monomial follows."""
-    re, im = coeff.re, coeff.im
-    im_num = im.numerator
+def _coeff_prefix(parts: tuple, has_monomial: bool) -> str:
+    """Render a coefficient from its parts, with trailing '*' when a
+    monomial follows."""
+    re_num, re_den, im_num, im_den = parts
     if not im_num:
-        num, den = re.numerator, re.denominator
-        if has_monomial and den == 1 and (num == 1 or num == -1):
-            return "" if num == 1 else "-"
-        body = _number_text(num, den)
+        if has_monomial and re_den == 1 and (re_num == 1 or re_num == -1):
+            return "" if re_num == 1 else "-"
+        body = _number_text(re_num, re_den)
     else:
-        body = _signed_unit_term(im_num, im.denominator, "i")
-        re_num = re.numerator
+        body = _signed_unit_term(im_num, im_den, "i")
         if re_num:
-            body = f"({_number_text(re_num, re.denominator)}{body if body[0] == '-' else '+' + body})"
+            body = f"({_number_text(re_num, re_den)}{body if body[0] == '-' else '+' + body})"
     return body + "*" if has_monomial else body
 
 
@@ -524,9 +523,9 @@ def format_poly(poly: Poly4) -> str:
         return "0"
     rendered = []
     try:
-        for key, coeff in poly.sorted_terms():
+        for key, parts in sorted(poly._coeff_parts().items()):
             monomial = _monomial_text(key)
-            rendered.append(_coeff_prefix(coeff, bool(monomial)) + monomial)
+            rendered.append(_coeff_prefix(parts, bool(monomial)) + monomial)
     except ValueError:  # an exponent past the int-to-string digit limit
         raise _output_limit_error() from None
     return _join_terms(rendered)
@@ -539,7 +538,10 @@ def format_function(fn: BicomplexFunction) -> str:
 # ---------------------------------------------------------------- json
 
 def _terms_to_json(poly: Poly4) -> list:
-    return [[*key, coeff.to_json()] for key, coeff in poly.sorted_terms()]
+    return [
+        [*key, [_number_text(re), _number_text(re_den), _number_text(im), _number_text(im_den)]]
+        for key, (re, re_den, im, im_den) in sorted(poly._coeff_parts().items())
+    ]
 
 
 def _terms_from_json(data, path: str) -> Poly4:
@@ -550,21 +552,21 @@ def _terms_from_json(data, path: str) -> Poly4:
         # each rule in order; the path of an entry is built only to raise
         if not isinstance(entry, list) or len(entry) != 5:
             raise JsonFormatError(f"{path}[{idx}]: expected [a, b, c, d, coeff]")
-        e0, e1, e2, e3, parts = entry
+        e0, e1, e2, e3, coeff = entry
         key = (e0, e1, e2, e3)
         for e in key:
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise JsonFormatError(f"{path}[{idx}]: exponents must be nonnegative integers")
         try:
-            coeff = GaussianRational.from_json(parts, "")
+            parts = _parts_from_json(coeff, "")
         except BicomplexError as exc:
             raise JsonFormatError(f"{path}[{idx}][4]{exc}") from None
         if key in terms:
             raise JsonFormatError(f"{path}[{idx}]: duplicate monomial {key}")
-        if coeff.is_zero():
+        if not (parts[0] or parts[2]):
             raise JsonFormatError(f"{path}[{idx}]: explicit zero coefficient")
-        terms[key] = coeff
-    return Poly4._raw(terms)  # the checks above are those of Poly4()
+        terms[key] = parts
+    return _PartsPoly4(terms)  # the checks above are those of Poly4()
 
 
 def _pair_to_json_obj(pair, keys: tuple[str, str]) -> dict:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bicomplex import DAGGER, STAR, TILDE, GaussianRational
+from .bicomplex import DAGGER, STAR, TILDE, ArgumentError, GaussianRational
 from .polyfun import BicomplexFunction, Poly4, _Pair
 
 __all__ = [
@@ -100,7 +100,7 @@ class Operator(_Pair):
         coefficients and swapping each derivative with its conjugate
         partner), tilde does both."""
         if kind not in OP_CONJUGATION_KINDS:
-            raise ValueError(f"unknown operator conjugation {kind!r}; expected one of {OP_CONJUGATION_KINDS}")
+            raise ArgumentError(f"unknown operator conjugation {kind!r}; expected one of {OP_CONJUGATION_KINDS}")
         return self._conj(_VALUE_KIND[kind])
 
     def apply(self, fn: BicomplexFunction) -> BicomplexFunction:
@@ -129,7 +129,7 @@ def wirtinger(kind: str) -> Operator:
     try:
         return _WIRTINGER[kind]
     except KeyError:
-        raise ValueError(f"unknown Wirtinger kind {kind!r}; expected one of {WIRTINGER_KINDS}") from None
+        raise ArgumentError(f"unknown Wirtinger kind {kind!r}; expected one of {WIRTINGER_KINDS}") from None
 
 
 _LAPLACIANS = {
@@ -147,5 +147,5 @@ def laplacian(index: int) -> Operator:
     """One of the seven second-order operators; index 1 is the privileged
     bicomplex Laplacian (d_alpha d_alpha~, d_beta d_beta~)."""
     if index not in _LAPLACIANS:
-        raise ValueError(f"Laplacian index must be 1..7, got {index!r}")
+        raise ArgumentError(f"Laplacian index must be 1..7, got {index!r}")
     return _LAPLACIANS[index]

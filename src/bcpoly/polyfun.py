@@ -10,6 +10,20 @@ with Gaussian-rational coefficients.  Conjugations, real parts, evaluation
 and differentiation all act componentwise in this basis, which is what makes
 every operator in :mod:`bcpoly.operators` diagonal.
 
+A coefficient has three forms, each built by one route:
+
+- ``terms``, ``{monomial: GaussianRational}``: what ``Poly4(dict)``, the
+  constructors and all arithmetic (``+``, ``*``, ``derive``, ``bar``, ...)
+  build and read.
+- parts, ``{monomial: (re_num, re_den, im_num, im_den)}`` in lowest terms:
+  what the expression layer's readers store (``parse`` and the JSON readers
+  of functions and operators); ``terms`` of such a polynomial is built on
+  its first read and cached.  The printers, ``==``, ``hash`` and the
+  integer form read parts, built from ``terms`` for any other polynomial.
+- the integer form ``(nums, den)`` of the kernels below: built for each
+  multiply and power, and cached for evaluation, where ``parse`` leaves the
+  form it built and any other polynomial builds it on its first evaluation.
+
 Functions and operators share one pair type, ``_Pair``: the checked
 constructor, type-exact equality and hash, the componentwise ring operations
 and one conjugation rule (dagger swaps the components, star bars both, tilde
@@ -19,10 +33,10 @@ does both).  Each subclass adds only its scalars and its action.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, perm
+from math import gcd, lcm, perm
 from typing import Iterable, Optional
 
-from .bicomplex import Bicomplex, BicomplexError, GaussianRational
+from .bicomplex import ArgumentError, Bicomplex, BicomplexError, GaussianRational
 from .bicomplex import DAGGER, STAR, TILDE, _check_kind, _int_repr
 
 __all__ = ["Poly4", "BicomplexFunction", "EvalLimitError", "MAX_EVAL_BITS", "NVARS", "PAIR_ALPHA", "PAIR_BETA"]
@@ -53,7 +67,7 @@ class EvalLimitError(BicomplexError):
 def _as_monomial(key) -> Monomial:
     key = tuple(key)
     if len(key) != NVARS or any((not isinstance(e, int)) or e < 0 for e in key):
-        raise ValueError(f"monomial key must be 4 nonnegative integers, got {key!r}")
+        raise ArgumentError(f"monomial key must be 4 nonnegative integers, got {key!r}")
     return key  # type: ignore[return-value]
 
 
@@ -68,15 +82,13 @@ def _as_monomial(key) -> Monomial:
 # its form on its first evaluation.
 
 
-def _integer_form(terms: dict) -> tuple[dict, int]:
+def _integer_form(poly: "Poly4") -> tuple[dict, int]:
     """Numerators over ``den``, the lcm of the coefficient denominators."""
+    parts = poly._coeff_parts()
     den = 1
-    for c in terms.values():
-        den = lcm(den, c.re.denominator, c.im.denominator)
-    return {
-        key: (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-        for key, c in terms.items()
-    }, den
+    for _, re_den, _, im_den in parts.values():
+        den = lcm(den, re_den, im_den)
+    return {key: (re * (den // re_den), im * (den // im_den)) for key, (re, re_den, im, im_den) in parts.items()}, den
 
 
 def _from_integer_form(nums: dict, den: int) -> dict:
@@ -85,8 +97,13 @@ def _from_integer_form(nums: dict, den: int) -> dict:
 
 
 def _poly_of_form(nums: dict, den: int) -> "Poly4":
-    """The polynomial of an integer form, with the form cached on it."""
-    poly = Poly4._raw(_from_integer_form(nums, den))
+    """The polynomial of an integer form, stored as parts, with the form
+    cached on it."""
+    parts = {}
+    for key, (re, im) in nums.items():
+        g, h = gcd(re, den), gcd(im, den)
+        parts[key] = (re // g, den // g, im // h, den // h)
+    poly = _PartsPoly4(parts)
     poly._form = (nums, den)
     return poly
 
@@ -96,7 +113,7 @@ def _cached_form(poly: "Poly4") -> tuple[dict, int]:
     try:
         return poly._form
     except AttributeError:
-        form = poly._form = _integer_form(poly.terms)
+        form = poly._form = _integer_form(poly)
         return form
 
 
@@ -262,7 +279,14 @@ class Poly4:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # hashes the parts, which are equal exactly when the terms are, so
+        # a polynomial hashes alike whichever way it was built
+        return hash(frozenset(self._coeff_parts().items()))
+
+    def _coeff_parts(self) -> dict:
+        """The coefficients as ``{monomial: (re_num, re_den, im_num,
+        im_den)}``, each part in lowest terms over a positive denominator."""
+        return {key: (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator) for key, c in self.terms.items()}
 
     def __add__(self, other: "Poly4") -> "Poly4":
         out = dict(self.terms)
@@ -289,17 +313,17 @@ class Poly4:
             return Poly4._raw(_shifted(other.terms, self.terms))
         if len(other.terms) == 1:
             return Poly4._raw(_shifted(self.terms, other.terms))
-        a, a_den = _integer_form(self.terms)
-        b, b_den = _integer_form(other.terms)
+        a, a_den = _integer_form(self)
+        b, b_den = _integer_form(other)
         return Poly4._raw(_from_integer_form(_mul_nums(a, b), a_den * b_den))
 
     def __pow__(self, exponent: int) -> "Poly4":
         if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial exponent must be a nonnegative integer")
+            raise ArgumentError("polynomial exponent must be a nonnegative integer")
         if len(self.terms) == 1:
             ((k0, k1, k2, k3), coeff), = self.terms.items()
             return Poly4._raw({(exponent * k0, exponent * k1, exponent * k2, exponent * k3): coeff ** exponent})
-        return Poly4._raw(_from_integer_form(*_pow_form(*_integer_form(self.terms), exponent)))
+        return Poly4._raw(_from_integer_form(*_pow_form(*_integer_form(self), exponent)))
 
     def scale(self, coeff) -> "Poly4":
         coeff = GaussianRational.coerce(coeff)
@@ -352,7 +376,7 @@ class Poly4:
 
     def diff(self, var: int, times: int = 1) -> "Poly4":
         if times < 0:
-            raise ValueError("cannot differentiate a negative number of times")
+            raise ArgumentError("cannot differentiate a negative number of times")
         if times == 0:
             return self
         kappa = [0, 0, 0, 0]
@@ -409,6 +433,46 @@ class Poly4:
         # ``repr`` of the terms dict, each exponent through ``_int_repr``
         terms = ", ".join(f"({', '.join(map(_int_repr, key))}): {coeff!r}" for key, coeff in self.sorted_terms())
         return f"Poly4({{{terms}}})"
+
+
+class _PartsPoly4(Poly4):
+    """A polynomial built by the expression layer, whose coefficients are
+    stored as their parts (``Poly4._coeff_parts``); ``terms`` is built from
+    them on first read and then cached.  Being a subclass, with its own
+    ``==``, which Python tries first against a plain ``Poly4``, it leaves
+    polynomials built from ``terms`` with no lazy read on their path."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, parts: dict):
+        self._parts = parts
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: ``terms`` until its first read
+        if name != "terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        terms = self.terms = {
+            key: GaussianRational(Fraction(re, re_den), Fraction(im, im_den))
+            for key, (re, re_den, im, im_den) in self._parts.items()
+        }
+        return terms
+
+    def _coeff_parts(self) -> dict:
+        return self._parts
+
+    def is_zero(self) -> bool:
+        return not self._parts
+
+    def __bool__(self):
+        return bool(self._parts)
+
+    def __eq__(self, other):
+        # parts are canonical, so they are equal exactly when the terms are
+        if not isinstance(other, Poly4):
+            return NotImplemented
+        return self._parts == other._coeff_parts()
+
+    __hash__ = Poly4.__hash__
 
 
 class _Pair:
@@ -574,7 +638,7 @@ class BicomplexFunction(_Pair):
 
     def constant_value(self) -> Bicomplex:
         if not self.is_constant():
-            raise ValueError("function is not constant")
+            raise ArgumentError("function is not constant")
         return Bicomplex(
             self.plus.terms.get(_ZERO_MONO, GaussianRational(0)),
             self.minus.terms.get(_ZERO_MONO, GaussianRational(0)),

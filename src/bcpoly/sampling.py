@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .bicomplex import Bicomplex, GaussianRational
+from .bicomplex import ArgumentError, Bicomplex, GaussianRational
 from .operators import Operator
 from .polyfun import _PAIRS, BicomplexFunction, Poly4
 
@@ -29,7 +29,7 @@ class Sampler:
 
     def __init__(self, seed: int, max_degree: int = 4, coeff_bound: int = 9):
         if max_degree < 0 or coeff_bound < 1:
-            raise ValueError("max_degree must be >= 0 and coeff_bound >= 1")
+            raise ArgumentError("max_degree must be >= 0 and coeff_bound >= 1")
         self.rng = random.Random(seed)
         self.max_degree = max_degree
         self.coeff_bound = coeff_bound
@@ -186,7 +186,7 @@ class Sampler:
         Minus component symmetric under the dagger swap of roles.
         """
         if min(m, n, k) < 1:
-            raise ValueError("signature components must be >= 1")
+            raise ArgumentError("signature components must be >= 1")
         top = max(self.max_degree, m)
         plus: dict = {}
         minus: dict = {}
@@ -223,7 +223,7 @@ class Sampler:
         """
         side = min(bound_dagger, bound_tilde)
         if not real_coeffs and side < 2:
-            raise ValueError("non-real coefficients need min(bounds) >= 2")
+            raise ArgumentError("non-real coefficients need min(bounds) >= 2")
         plus_coeffs: dict[tuple[int, int], Poly4] = {}
         minus_coeffs: dict[tuple[int, int], Poly4] = {}
         forced = None

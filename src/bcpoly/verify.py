@@ -16,7 +16,7 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from . import worked_examples
-from .bicomplex import Bicomplex, E_MINUS, E_PLUS, GaussianRational, K, ONE
+from .bicomplex import ArgumentError, Bicomplex, E_MINUS, E_PLUS, GaussianRational, K, ONE
 from .classify import (
     class_membership,
     pair_polyharmonic_order,
@@ -474,9 +474,9 @@ def run_suite(
     seconds as it finishes; the fixed ``paper-examples`` block has no
     trials of its own and never calls it.  The result does not depend on it."""
     if name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")
+        raise ArgumentError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")
     if trials is not None and trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+        raise ArgumentError(f"trials must be >= 0, got {trials}")
     count = DEFAULT_TRIALS[name] if trials is None else trials
     if name == "paper-examples":
         return _run_paper_examples(count, seed)

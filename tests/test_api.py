@@ -11,7 +11,10 @@ import inspect
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import bcpoly
+from bcpoly.verify import run_suite
 
 GOLDEN = Path(__file__).parent / "golden" / "api.txt"
 
@@ -62,6 +65,31 @@ def surface() -> list[str]:
 
 def test_public_api_matches_golden():
     assert surface() == GOLDEN.read_text().splitlines()
+
+
+_BAD_ARGUMENTS = {
+    "main_decomposition bound 0": lambda: bcpoly.main_decomposition(bcpoly.BicomplexFunction.variable(), 0, 1),
+    "almansi_complex pair": lambda: bcpoly.almansi_complex(bcpoly.Poly4.variable(0), "gamma"),
+    "Sampler max_degree": lambda: bcpoly.Sampler(0, max_degree=-1),
+    "run_suite name": lambda: run_suite("nosuch"),
+    "run_suite trials": lambda: run_suite("mainthm-i", trials=-1),
+    "Poly4.monomial key": lambda: bcpoly.Poly4.monomial((-1, 0, 0, 0)),
+    "Poly4 power": lambda: bcpoly.Poly4.variable(0) ** -1,
+    "Poly4.diff times": lambda: bcpoly.Poly4.variable(0).diff(0, -1),
+    "constant_value": lambda: bcpoly.BicomplexFunction.variable().constant_value(),
+    "conjugation kind": lambda: bcpoly.ONE.conjugate("star_op"),
+    "operator conjugation kind": lambda: bcpoly.Operator.identity().conjugate("star"),
+    "wirtinger kind": lambda: bcpoly.wirtinger("nosuch"),
+    "laplacian index": lambda: bcpoly.laplacian(8),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_ARGUMENTS.values(), ids=_BAD_ARGUMENTS.keys())
+def test_bad_public_arguments_raise_argument_error(call):
+    # a documented domain error that callers catching ValueError still catch
+    with pytest.raises(bcpoly.ArgumentError) as info:
+        call()
+    assert isinstance(info.value, bcpoly.BicomplexError) and isinstance(info.value, ValueError)
 
 
 if __name__ == "__main__":

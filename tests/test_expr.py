@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import time
@@ -18,6 +19,7 @@ from bcpoly import (
     JsonFormatError,
     OutputLimitError,
     format_function,
+    format_poly,
     function_from_json,
     function_to_json,
     parse,
@@ -25,7 +27,7 @@ from bcpoly import (
 )
 from bcpoly.expr import MAX_NESTING, MAX_TERM_PAIRS, function_from_json_obj, function_to_json_obj, operator_from_json_obj, operator_to_json_obj
 from bcpoly.expr import _Budget, _Reader, _read_canonical
-from bcpoly.operators import laplacian
+from bcpoly.operators import Operator, laplacian
 from bcpoly.polyfun import BicomplexFunction, Poly4, _poly_of_form
 from bcpoly.sampling import Sampler
 
@@ -527,3 +529,97 @@ def test_canonical_kernel_peaks_below_the_reader():
     text = _canonical_sum((part(), part()) for _ in range(2000))
     _assert_kernel_reads_as_reader(text)
     assert _peak_bytes(lambda t: _read_canonical(t, _Budget()), text) < _peak_bytes(lambda t: _Reader(t, True).read(), text)
+
+
+# ---- expression-built polynomials: coefficient parts
+
+
+def _timed(call, *args):
+    start = time.perf_counter()
+    result = call(*args)
+    return result, time.perf_counter() - start
+
+
+def test_mixed_denominators_read_and_print_in_linear_time():
+    # 4000 terms over distinct 31-digit denominators; over one shared
+    # denominator every numerator would be about 364 thousand bits long
+    terms = [[i, 0, 0, 0, ["1", str(10 ** 30 + 2 * i + 1), "0", "1"]] for i in range(4000)]
+    text = json.dumps({"plus": terms, "minus": []}, separators=(",", ":"))
+    fn, seconds = _timed(function_from_json, text)
+    assert seconds < 0.5
+    printed, seconds = _timed(format_function, fn)
+    assert seconds < 0.5
+    assert printed.startswith("1/1000000000000000000000000000001 + 1/1000000000000000000000000000003*a + ")
+    again, seconds = _timed(function_to_json, fn)
+    assert seconds < 0.5
+    assert again == text
+
+
+def test_call_free_round_trip_builds_no_gaussian_rational(monkeypatch):
+    # readers store coefficient parts, and printers and equality read them
+    built = []
+    init = GaussianRational.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+    fn = parse("(Z + 2/3*i)^3 + k*Z^2/5")
+    reparsed = parse(format_function(fn), raw=True)
+    from_json = function_from_json(function_to_json(reparsed))
+    assert from_json == fn and from_json == reparsed
+    assert built == []
+
+
+def _z_text(poly: Poly4) -> str:
+    """Text without idempotent variables for the plus component ``poly``:
+    on that component Z, star(Z), dag(Z) and til(Z) are a, ac, b and bc."""
+    terms = [
+        f"({c.re.numerator}/{c.re.denominator} + {c.im.numerator}/{c.im.denominator}*i)"
+        f"*Z^{e0}*star(Z)^{e1}*dag(Z)^{e2}*til(Z)^{e3}"
+        for (e0, e1, e2, e3), c in poly.terms.items()
+    ]
+    return f"e+*({' + '.join(terms) or '0'})"
+
+
+# each route builds a polynomial equal to the plain one it is given
+_ROUTES = {
+    "Poly4(dict)": lambda p: Poly4(dict(p.terms)),
+    "parse": lambda p: parse(_z_text(p)).plus,
+    "parse raw, kernel": lambda p: parse(format_poly(p) + " | 0", raw=True).plus,
+    "parse raw, reader": lambda p: parse(format_poly(p) + " + 0 | 0", raw=True).plus,
+    "function_from_json": lambda p: function_from_json(function_to_json(BicomplexFunction(p, Poly4.zero()))).plus,
+    "operator_from_json_obj": lambda p: operator_from_json_obj(operator_to_json_obj(Operator(p, Poly4.zero()))).plus,
+}
+
+
+def _small_polys():
+    # few monomials and coefficients, so that independent draws are often
+    # equal or share monomials with other coefficients
+    coeff = st.sampled_from([GaussianRational(1), GaussianRational(Fraction(1, 2)), GaussianRational(0, -1),
+                             GaussianRational(Fraction(-2, 3), 1)])
+    return st.dictionaries(monomials(max_degree=1), coeff, max_size=2).map(Poly4)
+
+
+@settings(deadline=None)
+@given(_small_polys(), st.data())
+def test_equality_and_hash_agree_across_routes(a, data):
+    b = data.draw(st.just(a) | _small_polys())
+    equal = a.terms == b.terms
+    xs = [route(a) for route in _ROUTES.values()]
+    ys = [route(b) for route in _ROUTES.values()]
+    hashes = [hash(x) for x in xs]
+
+    def check():
+        for x in xs:
+            for y in ys:
+                assert (x == y) == equal and (y == x) == equal and (x != y) != equal
+                if equal:
+                    assert hash(x) == hash(y)
+
+    check()
+    for x in xs:  # reading terms builds and caches them on the parts routes
+        assert x.terms == a.terms
+    check()
+    assert [hash(x) for x in xs] == hashes
