@@ -107,7 +107,7 @@ def annihilation_order(fn: BicomplexFunction, op: Operator) -> int:
     monomials go to :func:`polyharmonic_order`, which may raise
     :class:`NotNilpotent`."""
     # the closed form needs each component to be one monomial c*d^κ, κ != 0
-    kappas = [key for part in (op.plus, op.minus) for key in part.terms if len(part.terms) == 1 and any(key)]
+    kappas = [key for part in (op.plus, op.minus) if len(part) == 1 for key in part.terms if any(key)]
     if len(kappas) != 2:
         return polyharmonic_order(fn, op)
     return max(_order_under(fn.plus, kappas[0]), _order_under(fn.minus, kappas[1]))

@@ -24,7 +24,12 @@ minus signs have no length limit.
 
 The reader makes one pass and builds no syntax tree: each grammar rule
 returns its value as expanded polynomial components, so the expansion runs
-while the text is read.  Its work is bounded by ``MAX_TERM_PAIRS``, past
+while the text is read.  A power of a sum whose terms share no variable,
+such as a linear form in Z and its conjugates in each component, is
+expanded by the multinomial theorem once that takes fewer steps than
+square-and-multiply; it is charged, before any work, the term pairs
+square-and-multiply would multiply, so every text is accepted or refused
+alike on either route.  Its work is bounded by ``MAX_TERM_PAIRS``, past
 which ``ExprLimitError`` is raised, possibly before a syntax error later in
 the text.
 
@@ -55,7 +60,8 @@ from .bicomplex import DAGGER, E_MINUS, E_PLUS, I, J, K, STAR, TILDE
 from .bicomplex import _in_lowest_terms, _join_terms, _number_text, _output_limit_error, _parts_from_json, _signed_unit_term
 from .operators import Operator
 from .polyfun import BicomplexFunction, Poly4
-from .polyfun import _ZERO_MONO, _PartsPoly4, _from_integer_form, _integer_form, _mul_nums, _poly_of_form, _pow_form
+from .polyfun import _ZERO_MONO, _PartsPoly4, _from_integer_form, _integer_form, _mul_nums
+from .polyfun import _multinomial_form, _multinomial_pairs, _poly_of_form, _pow_form
 
 __all__ = [
     "ExprSyntaxError",
@@ -84,17 +90,23 @@ VAR_NAMES = ("a", "ac", "b", "bc")
 MAX_NESTING = 100
 
 # Expansion work of one parse, in term pairs: a product of an m-term and an
-# n-term component counts m*n, as does each multiply inside a power; a power
-# x^e also counts e times the bits its numbers can gain per factor (log2 of
-# x's denominator and of the sum of |re| + |im| over its numerators), and a
-# call, which runs on Gaussian rationals, _CALL_PAIRS per term of its
-# argument, about its cost against the integer multiply.  A sum whose
-# common denominator grows rescales its accumulated terms, two multiplies
-# each against a term pair's four, so each rescale counts half their number.
-# The benchmark's largest expression needs 26 thousand, (Z+star(Z)+1)^60
-# 570 thousand.
+# n-term component counts m*n, as does each multiply inside a power.  Where
+# the multinomial kernel takes a power (of a sum whose terms share no
+# variable), the power counts, before any work, the pairs square-and-multiply
+# would multiply.  A power x^e also counts e times the bits its numbers can
+# gain per factor (log2 of x's denominator and of the sum of |re| + |im|
+# over its numerators), and a call, which runs on Gaussian rationals,
+# _CALL_PAIRS per term of its argument, about its cost against the integer
+# multiply.  A sum whose common denominator grows rescales its accumulated
+# terms, two multiplies each against a term pair's four, so each rescale
+# counts half their number, and as much again for each further
+# _RESCALE_BITS bits of the new denominator: about the bits that a term
+# pair's time multiplies by a one-digit factor (0.35 us a pair against 19 ns
+# per thousand bits, on a 2-core x86 VM).  The benchmark's largest
+# expression needs 26 thousand, (Z+star(Z)+1)^60 570 thousand.
 MAX_TERM_PAIRS = 800_000
 _CALL_PAIRS = 64
+_RESCALE_BITS = 1 << 14
 
 _FUNCS = {
     "dag": lambda f: f.conjugate(DAGGER),
@@ -156,10 +168,11 @@ def _kind(token) -> str:
 def _rescale_charge(n_terms: int, den: int, term_den: int, charge) -> int:
     """The common denominator of a sum of ``n_terms`` over ``den`` and a
     term over ``term_den``; when it is new, rescaling the sum is charged to
-    the work budget as ``n_terms // 2`` term pairs."""
+    the work budget as ``n_terms // 2`` term pairs, and as much again for
+    each whole ``_RESCALE_BITS`` bits of it."""
     common = lcm(den, term_den)
     if common != den:
-        charge(n_terms // 2)
+        charge(n_terms // 2 * (1 + common.bit_length() // _RESCALE_BITS))
     return common
 
 
@@ -359,7 +372,12 @@ class _Reader(_Budget):
                     e = exponent
                     out[c] = ({(k0 * e, k1 * e, k2 * e, k3 * e): (a ** e, 0)}, den ** e)
                     continue
-            out[c] = _pow_form(nums, den, exponent, self.mul)
+            pairs = _multinomial_pairs(nums, exponent)
+            if pairs is None:
+                out[c] = _pow_form(nums, den, exponent, self.mul)
+            else:  # charged, before any work, what _pow_form would charge
+                self.charge(pairs)
+                out[c] = _multinomial_form(nums, den, exponent)
         return tuple(out)
 
     def nested(self, opener: int) -> tuple:

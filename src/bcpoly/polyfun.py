@@ -33,7 +33,8 @@ does both).  Each subclass adds only its scalars and its action.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, perm
+from itertools import count
+from math import comb, gcd, lcm, perm
 from typing import Iterable, Optional
 
 from .bicomplex import ArgumentError, Bicomplex, BicomplexError, GaussianRational
@@ -80,6 +81,18 @@ def _as_monomial(key) -> Monomial:
 # reads the form through ``_cached_form``: the expression reader leaves the
 # form it built on the polynomial it returns, and any other polynomial gets
 # its form on its first evaluation.
+#
+# Two kernels raise a form to a power.  ``_pow_form`` squares and multiplies,
+# for any form.  ``_multinomial_form`` takes forms of two or more terms with
+# pairwise disjoint supports, as a power of a linear form in Z and its
+# conjugates has in each component: no two of its products collide, so it
+# builds each term of the power once, from per-term power tables and
+# binomials, where square-and-multiply multiplies ever larger intermediate
+# powers.  The expression reader takes it where it takes fewer steps than
+# square-and-multiply's pairs (``_multinomial_pairs``), and charges those
+# pairs.  ``Poly4.__pow__`` keeps square-and-multiply: the test against the
+# GaussianRational reference pins the order of its terms, which the
+# multinomial kernel does not keep.
 
 
 def _integer_form(poly: "Poly4") -> tuple[dict, int]:
@@ -151,6 +164,97 @@ def _pow_form(nums: dict, den: int, exponent: int, mul=_mul_nums) -> tuple[dict,
             den *= den
         exponent >>= 1
     return out, out_den
+
+
+def _pow_pairs(n_terms: int, exponent: int) -> int:
+    """The term pairs ``_pow_form`` multiplies to raise a form of ``n_terms``
+    terms with pairwise disjoint supports: its k-th power has
+    C(k + n_terms - 1, n_terms - 1) terms, one per way to split k among the
+    terms, and no two products collide."""
+    r = n_terms - 1
+    pairs, out, square = 0, 0, 1
+    while exponent:
+        if exponent & 1:
+            pairs += comb(out + r, r) * comb(square + r, r)
+            out += square
+        if exponent > 1:
+            pairs += comb(square + r, r) ** 2
+            square *= 2
+        exponent >>= 1
+    return pairs
+
+
+def _multinomial_steps(n_terms: int, exponent: int) -> int:
+    """The steps of ``_multinomial_form`` on such a form: each of the O terms
+    of the power built once, as many partials handled, and one power table
+    of ``exponent + 1`` entries per term."""
+    return 2 * comb(exponent + n_terms - 1, n_terms - 1) + n_terms * (exponent + 1)
+
+
+# Disjoint supports allow at most one term per variable and a constant.  Per
+# number of terms, the smallest exponent from which the multinomial kernel
+# takes fewer steps than square-and-multiply multiplies pairs, which it then
+# does for every larger exponent (a test checks this): fifth powers of two
+# terms, fourth powers of three, cubes of four and five.
+_MULTINOMIAL_FROM = {
+    t: next(n for n in count() if _pow_pairs(t, n) > _multinomial_steps(t, n)) for t in range(2, NVARS + 2)
+}
+
+
+def _multinomial_pairs(nums: dict, exponent: int) -> Optional[int]:
+    """The term pairs ``_pow_form`` would multiply to raise ``nums`` to
+    ``exponent``, when ``_multinomial_form`` takes the power in fewer steps;
+    else None."""
+    start = _MULTINOMIAL_FROM.get(len(nums))
+    if start is None or exponent < start:
+        return None
+    others = len(nums) - 1
+    if not all(column.count(0) >= others for column in zip(*nums)):  # a variable in two terms
+        return None
+    return _pow_pairs(len(nums), exponent)
+
+
+def _multinomial_form(nums: dict, den: int, exponent: int) -> tuple[dict, int]:
+    """An integer form of two or more terms with pairwise disjoint supports,
+    raised to a nonnegative power by the multinomial theorem.
+
+    The power of c_1*x^k_1 + ... + c_t*x^k_t is the sum, over the ways to
+    split the exponent n as j_1 + ... + j_t, of the products over i of
+    C(r_i, j_i) * (c_i*x^k_i)^j_i, where r_i = n - j_1 - ... - j_(i-1) is
+    what the terms before i leave.  The products are built term by term as
+    partials ``(*key, re, im, r)``, each from its parent and one entry of
+    the term's power table; a partial that leaves nothing is a finished
+    term, and the last term takes what is left.  Disjoint supports make
+    every product a distinct monomial, nonzero, so each is stored once.
+    """
+    out: dict = {}
+    partials = [(0, 0, 0, 0, 1, 0, exponent)]
+    last = len(nums) - 1
+    for index, ((k0, k1, k2, k3), (re, im)) in enumerate(nums.items()):
+        powers = [(0, 0, 0, 0, 1, 0)]
+        x, y = 1, 0
+        for e in range(1, exponent + 1):
+            x, y = x * re - y * im, x * im + y * re
+            powers.append((k0 * e, k1 * e, k2 * e, k3 * e, x, y))
+        if index == last:
+            break
+        grown = []
+        append = grown.append
+        for partial in partials:
+            append(partial)  # this term to the power 0
+            a0, a1, a2, a3, x, y, rem = partial
+            c = 1
+            for e in range(1, rem):
+                c = c * (rem - e + 1) // e
+                p0, p1, p2, p3, u, v = powers[e]
+                append((a0 + p0, a1 + p1, a2 + p2, a3 + p3, c * (x * u - y * v), c * (x * v + y * u), rem - e))
+            p0, p1, p2, p3, u, v = powers[rem]
+            out[a0 + p0, a1 + p1, a2 + p2, a3 + p3] = (x * u - y * v, x * v + y * u)
+        partials = grown
+    for a0, a1, a2, a3, x, y, rem in partials:  # the last term takes what is left
+        p0, p1, p2, p3, u, v = powers[rem]
+        out[a0 + p0, a1 + p1, a2 + p2, a3 + p3] = (x * u - y * v, x * v + y * u)
+    return out, den ** exponent
 
 
 def _powers(value: GaussianRational, top: int) -> tuple[list, list]:
@@ -273,6 +377,10 @@ class Poly4:
     def __bool__(self):
         return bool(self.terms)
 
+    def __len__(self):
+        """The number of terms, read without building any."""
+        return len(self.terms)
+
     def __eq__(self, other):
         if not isinstance(other, Poly4):
             return NotImplemented
@@ -309,9 +417,9 @@ class Poly4:
         # a one-term factor c*x^k shifts the other factor's keys by k: the
         # shifted keys are distinct and no product of nonzero coefficients
         # is zero, so terms and order are the integer kernel's
-        if len(self.terms) == 1:
+        if len(self) == 1:
             return Poly4._raw(_shifted(other.terms, self.terms))
-        if len(other.terms) == 1:
+        if len(other) == 1:
             return Poly4._raw(_shifted(self.terms, other.terms))
         a, a_den = _integer_form(self)
         b, b_den = _integer_form(other)
@@ -320,7 +428,7 @@ class Poly4:
     def __pow__(self, exponent: int) -> "Poly4":
         if not isinstance(exponent, int) or exponent < 0:
             raise ArgumentError("polynomial exponent must be a nonnegative integer")
-        if len(self.terms) == 1:
+        if len(self) == 1:
             ((k0, k1, k2, k3), coeff), = self.terms.items()
             return Poly4._raw({(exponent * k0, exponent * k1, exponent * k2, exponent * k3): coeff ** exponent})
         return Poly4._raw(_from_integer_form(*_pow_form(*_integer_form(self), exponent)))
@@ -465,6 +573,9 @@ class _PartsPoly4(Poly4):
 
     def __bool__(self):
         return bool(self._parts)
+
+    def __len__(self):
+        return len(self._parts)
 
     def __eq__(self, other):
         # parts are canonical, so they are equal exactly when the terms are

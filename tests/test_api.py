@@ -24,7 +24,7 @@ CLASSES = (
 )
 
 DUNDERS = (
-    "__init__", "__eq__", "__hash__", "__bool__", "__repr__",
+    "__init__", "__eq__", "__hash__", "__bool__", "__len__", "__repr__",
     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
     "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
 )

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import starmap
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -26,12 +27,14 @@ from bcpoly import (
     parse_point,
 )
 from bcpoly.expr import MAX_NESTING, MAX_TERM_PAIRS, function_from_json_obj, function_to_json_obj, operator_from_json_obj, operator_to_json_obj
+from bcpoly import expr
 from bcpoly.expr import _Budget, _Reader, _read_canonical
 from bcpoly.operators import Operator, laplacian
-from bcpoly.polyfun import BicomplexFunction, Poly4, _poly_of_form
+from bcpoly.polyfun import BicomplexFunction, Poly4, _integer_form, _mul_nums, _multinomial_form, _multinomial_pairs
+from bcpoly.polyfun import _poly_of_form, _pow_form
 from bcpoly.sampling import Sampler
 
-from strategies import functions, monomials
+from strategies import functions, gaussians, monomials
 
 from test_polyfun import ALPHA, ALPHA_BAR, BETA, BETA_BAR, cross_term, realizer
 
@@ -210,7 +213,8 @@ def test_expansion_work_limit():
     # each ran for minutes or would exhaust memory without the limit; the
     # limit comes before the syntax error at the end of the third
     nested_calls = "rec(1+Z*(" * 50 + "Z" + ")" * 100
-    for text in (nested_calls, "(Z+star(Z)+dag(Z)+1)^200", "(Z+star(Z)+dag(Z)+1)^200 +", "7^777777777777"):
+    for text in (nested_calls, "(Z+star(Z)+dag(Z)+1)^200", "(Z+star(Z)+dag(Z)+1)^200 +", "7^777777777777",
+                 "(Z+1)^1000", "(Z+1)^5000", "(Z+1)^100000"):
         start = time.perf_counter()
         with pytest.raises(ExprLimitError) as err:
             parse(text)
@@ -219,6 +223,72 @@ def test_expansion_work_limit():
     # 1891 terms per component, inside the limit
     f = parse("(Z+star(Z)+1)^60")
     assert len(f.plus.terms) == len(f.minus.terms) == 1891
+
+
+@st.composite
+def _disjoint_monomials(draw):
+    """One to five monomials with pairwise disjoint supports: each variable
+    goes to one of four terms or to none, and a constant may join them."""
+    keys: dict = {}
+    for var, owner in enumerate(draw(st.lists(st.sampled_from([None, 0, 1, 2, 3]), min_size=4, max_size=4))):
+        if owner is not None:
+            keys.setdefault(owner, [0, 0, 0, 0])[var] = draw(st.integers(1, 3))
+    monos = [tuple(key) for key in keys.values()]
+    if not monos or draw(st.booleans()):
+        monos.append((0, 0, 0, 0))
+    return monos
+
+
+def _power_bases():
+    """Bases of one to five terms, with disjoint supports, as a linear form
+    in Z and its conjugates has in each component, or with monomials drawn
+    freely, which may share variables."""
+    keys = _disjoint_monomials() | st.lists(monomials(max_degree=2), min_size=1, max_size=5, unique=True)
+    coeff = gaussians().filter(lambda g: not g.is_zero())
+    return keys.flatmap(lambda ks: st.lists(coeff, min_size=len(ks), max_size=len(ks)).map(lambda cs: Poly4(dict(zip(ks, cs)))))
+
+
+@settings(deadline=None)
+@given(_power_bases(), st.integers(0, 12))
+def test_power_gives_and_charges_what_square_and_multiply_does(base, n):
+    nums, den = _integer_form(base)
+    counted = []
+
+    def counting_mul(a, b):
+        counted.append(len(a) * len(b))
+        return _mul_nums(a, b)
+
+    expected = _poly_of_form(*_pow_form(nums, den, n, counting_mul))
+    pairs = _multinomial_pairs(nums, n)
+    assert pairs is None or pairs == sum(counted)
+    # the reader, and the reader with square-and-multiply for every power
+    text = f"({format_poly(base)})^{n} | 0"
+    reader = _Reader(text, True)
+    plus, _ = reader.read()
+    with mock.patch.object(expr, "_multinomial_pairs", lambda nums, exponent: None):
+        square_and_multiply = _Reader(text, True)
+        plus_by_squaring, _ = square_and_multiply.read()
+    assert _poly_of_form(*plus) == _poly_of_form(*plus_by_squaring) == expected
+    assert reader.work == square_and_multiply.work
+
+
+def test_bases_with_shared_variables_stay_on_square_and_multiply():
+    bases = []
+
+    def spy(nums, den, exponent):
+        bases.append(sorted(nums))
+        return _multinomial_form(nums, den, exponent)
+
+    with mock.patch.object(expr, "_multinomial_form", spy):
+        nested = parse("((1+a)^9)^10 | 0", raw=True)
+        shared = parse("(a+a*b+b)^6 | 0", raw=True)
+        linear = parse("(1+a+b)^4 | 0", raw=True)
+    # only 1+a and 1+a+b: (1+a)^9 has ten terms in a, a+a*b+b shares a and b
+    assert bases == [[(0, 0, 0, 0), (1, 0, 0, 0)], [(0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)]]
+    one, a, b = Poly4.constant(1), Poly4.variable(0), Poly4.variable(2)
+    assert nested.plus == (one + a) ** 90
+    assert shared.plus == (a + a * b + b) ** 6
+    assert linear.plus == (one + a + b) ** 4
 
 
 def _primes(count: int) -> list[int]:
@@ -232,12 +302,15 @@ def _primes(count: int) -> list[int]:
 
 def test_sum_over_growing_denominators_is_charged():
     # each new denominator rescales the whole sum so far; 4000 terms took
-    # 35 s before the rescaling counted against the limit
+    # 35 s before the rescaling counted against the limit, and 1200 terms
+    # over 31-digit denominators 22 s before it counted their bits
     primes = _primes(4000)
-    start = time.perf_counter()
-    with pytest.raises(ExprLimitError, match=f"limit of {MAX_TERM_PAIRS} term pairs"):
-        parse(" + ".join(f"Z^{n}/{p}" for n, p in enumerate(primes)))
-    assert time.perf_counter() - start < 5
+    for text in (" + ".join(f"Z^{n}/{p}" for n, p in enumerate(primes)),
+                 " + ".join(f"Z^{i}/{10 ** 30 + 2 * i + 1}" for i in range(1200))):
+        start = time.perf_counter()
+        with pytest.raises(ExprLimitError, match=f"limit of {MAX_TERM_PAIRS} term pairs"):
+            parse(text)
+        assert time.perf_counter() - start < 5
     f = parse(" + ".join(f"Z^{n}/{p}" for n, p in enumerate(primes[:1000])))
     assert list(f.plus.terms.items()) == [((n, 0, 0, 0), GaussianRational(Fraction(1, p))) for n, p in enumerate(primes[:1000])]
     assert list(f.minus.terms.items()) == [((0, 0, n, 0), GaussianRational(Fraction(1, p))) for n, p in enumerate(primes[:1000])]
@@ -569,6 +642,7 @@ def test_call_free_round_trip_builds_no_gaussian_rational(monkeypatch):
     reparsed = parse(format_function(fn), raw=True)
     from_json = function_from_json(function_to_json(reparsed))
     assert from_json == fn and from_json == reparsed
+    assert [len(p) for g in (fn, reparsed, from_json) for p in (g.plus, g.minus)] == [4, 4] * 3
     assert built == []
 
 

@@ -254,3 +254,12 @@ def test_round_trip_above_a_thousand_terms():
     f = BicomplexFunction(poly(), poly())
     assert min(len(f.plus.terms), len(f.minus.terms)) > 1001
     assert parse(format_function(f), raw=True) == f
+
+
+def test_multinomial_kernel_takes_every_power_from_its_start_on():
+    # the reader takes the kernel where its steps are fewer than the pairs of
+    # square-and-multiply, from _MULTINOMIAL_FROM[t] on; past a few dozen the
+    # top squaring alone, C(n/4 + t - 1, t - 1)^2 pairs, outgrows the steps
+    for t, start in polyfun._MULTINOMIAL_FROM.items():
+        for n in range(1000):
+            assert (polyfun._pow_pairs(t, n) > polyfun._multinomial_steps(t, n)) == (n >= start)
