@@ -60,7 +60,7 @@ from .bicomplex import DAGGER, E_MINUS, E_PLUS, I, J, K, STAR, TILDE
 from .bicomplex import _in_lowest_terms, _join_terms, _number_text, _output_limit_error, _parts_from_json, _signed_unit_term
 from .operators import Operator
 from .polyfun import BicomplexFunction, Poly4
-from .polyfun import _ZERO_MONO, _PartsPoly4, _from_integer_form, _integer_form, _mul_nums
+from .polyfun import _ZERO_MONO, _PartsPoly4, _cached_form, _mul_nums
 from .polyfun import _multinomial_form, _multinomial_pairs, _poly_of_form, _pow_form
 
 __all__ = [
@@ -95,14 +95,16 @@ MAX_NESTING = 100
 # variable), the power counts, before any work, the pairs square-and-multiply
 # would multiply.  A power x^e also counts e times the bits its numbers can
 # gain per factor (log2 of x's denominator and of the sum of |re| + |im|
-# over its numerators), and a call, which runs on Gaussian rationals,
-# _CALL_PAIRS per term of its argument, about its cost against the integer
-# multiply.  A sum whose common denominator grows rescales its accumulated
-# terms, two multiplies each against a term pair's four, so each rescale
-# counts half their number, and as much again for each further
-# _RESCALE_BITS bits of the new denominator: about the bits that a term
-# pair's time multiplies by a one-digit factor (0.35 us a pair against 19 ns
-# per thousand bits, on a 2-core x86 VM).  The benchmark's largest
+# over its numerators), and a factor or divisor of a term counts its bits
+# once the term's coefficient or divisor is past _RESCALE_BITS bits.  A
+# call, which runs on Gaussian rationals, counts _CALL_PAIRS per term of its
+# argument, about its cost against the integer multiply.  A sum whose
+# common denominator grows rescales its accumulated terms, two multiplies
+# each against a term pair's four, so each rescale counts half their
+# number, and as much again for each further _RESCALE_BITS bits of the new
+# denominator: about the bits that a term pair's time multiplies by a
+# one-digit factor (0.35 us a pair against 19 ns per thousand bits, on a
+# 2-core x86 VM).  The benchmark's largest
 # expression needs 26 thousand, (Z+star(Z)+1)^60 570 thousand.
 MAX_TERM_PAIRS = 800_000
 _CALL_PAIRS = 64
@@ -119,7 +121,7 @@ _FUNCS = {
 # the values of the named atoms, as integer forms per component; shared,
 # so no rule may add into them
 _ATOMS = {
-    name: (_integer_form(fn.plus), _integer_form(fn.minus))
+    name: (_cached_form(fn.plus), _cached_form(fn.minus))
     for name, fn in (
         ("Z", BicomplexFunction.variable()),
         *((name, BicomplexFunction.constant(unit)) for name, unit in
@@ -163,6 +165,14 @@ def _kind(token) -> str:
     if token.isdecimal():
         return "int"
     return token if token in _SYMBOLS else "name"
+
+
+def _factor_bits(nums: dict, den: int) -> int:
+    """The bits that multiplying by the form ``nums/den`` can add to a
+    number: log2 of its denominator and of the sum of |re| + |im| over its
+    numerators."""
+    norm = sum(abs(re) + abs(im) for re, im in nums.values())
+    return max(norm.bit_length() - 1, 0) + den.bit_length() - 1
 
 
 def _rescale_charge(n_terms: int, den: int, term_den: int, charge) -> int:
@@ -314,6 +324,8 @@ class _Reader(_Budget):
                 value = self.integer()
                 if value == 0:
                     raise self.error("division by zero", self.index - 1)
+                if divisor.bit_length() > _RESCALE_BITS:  # a long divisor chain
+                    self.charge(value.bit_length() - 1)
                 divisor *= value
             if tokens[self.index] not in ("*", ""):
                 break
@@ -326,11 +338,16 @@ class _Reader(_Budget):
     def product(self, sign: int, forms: list, divisor: int) -> tuple[dict, int]:
         """One component of a term: the one-term factors fold into a single
         coefficient and monomial, and only the factors with several terms
-        are multiplied."""
+        are multiplied.  Once the coefficient or the denominator is past
+        ``_RESCALE_BITS`` bits, each further factor after the first is
+        charged its bits."""
         e0 = e1 = e2 = e3 = 0
         re, im, den = sign, 0, divisor
-        multi = None
+        multi, big, later = None, _RESCALE_BITS, False
         for nums, d in forms:
+            if later and (den.bit_length() > big or re.bit_length() > big or im.bit_length() > big):
+                self.charge(_factor_bits(nums, d))
+            later = True
             den *= d
             if len(nums) == 1:
                 [((k0, k1, k2, k3), (a, b))] = nums.items()
@@ -364,8 +381,7 @@ class _Reader(_Budget):
         out = [None, None]
         for c in self.comps:
             nums, den = value[c]
-            norm = sum(abs(re) + abs(im) for re, im in nums.values())
-            self.charge(exponent * (max(norm.bit_length() - 1, 0) + den.bit_length() - 1))
+            self.charge(exponent * _factor_bits(nums, den))
             if len(nums) == 1:
                 [((k0, k1, k2, k3), (a, b))] = nums.items()
                 if not b:  # a real monomial
@@ -413,10 +429,8 @@ class _Reader(_Budget):
             plus, minus = self.nested(start + 1)
             self.comps = outer
             self.charge(_CALL_PAIRS * (len(plus[0]) + len(minus[0])))
-            value = func(BicomplexFunction(Poly4._raw(_from_integer_form(*plus)), Poly4._raw(_from_integer_form(*minus))))
-            return tuple(
-                _integer_form((value.plus, value.minus)[c]) if c in outer else None for c in (0, 1)
-            )
+            value = func(BicomplexFunction(_poly_of_form(*plus), _poly_of_form(*minus)))
+            return tuple(_cached_form((value.plus, value.minus)[c]) if c in outer else None for c in (0, 1))
         raise self.error(f"expected an atom, found {_kind(token)!r}", start)
 
 

@@ -10,19 +10,23 @@ with Gaussian-rational coefficients.  Conjugations, real parts, evaluation
 and differentiation all act componentwise in this basis, which is what makes
 every operator in :mod:`bcpoly.operators` diagonal.
 
-A coefficient has three forms, each built by one route:
+A coefficient is stored in one of two forms, and every read that is not
+arithmetic reads the same one, its parts:
 
 - ``terms``, ``{monomial: GaussianRational}``: what ``Poly4(dict)``, the
-  constructors and all arithmetic (``+``, ``*``, ``derive``, ``bar``, ...)
-  build and read.
+  constructors and the term loops (``+``, ``scale``, ``bar``, ``derive``,
+  one-term products, ...) build, and what those loops read.
 - parts, ``{monomial: (re_num, re_den, im_num, im_den)}`` in lowest terms:
-  what the expression layer's readers store (``parse`` and the JSON readers
-  of functions and operators); ``terms`` of such a polynomial is built on
-  its first read and cached.  The printers, ``==``, ``hash`` and the
-  integer form read parts, built from ``terms`` for any other polynomial.
-- the integer form ``(nums, den)`` of the kernels below: built for each
-  multiply and power, and cached for evaluation, where ``parse`` leaves the
-  form it built and any other polynomial builds it on its first evaluation.
+  what the expression layer's readers (``parse`` and the JSON readers of
+  functions and operators) build, and what products and powers of several
+  terms build through ``_poly_of_form``, the one way out of the integer
+  form.  ``terms`` of such a polynomial is built on its first read and
+  cached.  ``==``, ``hash``, ``is_bar_fixed``, the printers and
+  ``_cached_form`` read parts, read off ``terms`` for any other polynomial.
+
+The integer form ``(nums, den)`` of the kernels below is a working form,
+not storage: ``_cached_form`` is the one way in, and caches it on the
+polynomial for the products, powers and evaluations that follow.
 
 Functions and operators share one pair type, ``_Pair``: the checked
 constructor, type-exact equality and hash, the componentwise ring operations
@@ -67,7 +71,7 @@ class EvalLimitError(BicomplexError):
 
 def _as_monomial(key) -> Monomial:
     key = tuple(key)
-    if len(key) != NVARS or any((not isinstance(e, int)) or e < 0 for e in key):
+    if len(key) != NVARS or any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in key):
         raise ArgumentError(f"monomial key must be 4 nonnegative integers, got {key!r}")
     return key  # type: ignore[return-value]
 
@@ -77,10 +81,11 @@ def _as_monomial(key) -> Monomial:
 # positive denominator, ``({monomial: (re_num, im_num)}, den)``, the layout of
 # FLINT's fmpq_poly.  Kernels never store a zero pair, and a key that
 # cancels to zero and reappears moves to the end, so the terms of a result
-# come in the order of the GaussianRational loops they replace.  Evaluation
-# reads the form through ``_cached_form``: the expression reader leaves the
-# form it built on the polynomial it returns, and any other polynomial gets
-# its form on its first evaluation.
+# come in the order of the GaussianRational loops they replace.  A form has
+# one way in and one way out: ``_cached_form`` reads a polynomial's form,
+# which the reader and the kernels leave on the polynomials they return and
+# any other polynomial builds from its parts on first use, and
+# ``_poly_of_form`` turns a form into a polynomial stored as parts.
 #
 # Two kernels raise a form to a power.  ``_pow_form`` squares and multiplies,
 # for any form.  ``_multinomial_form`` takes forms of two or more terms with
@@ -93,20 +98,6 @@ def _as_monomial(key) -> Monomial:
 # pairs.  ``Poly4.__pow__`` keeps square-and-multiply: the test against the
 # GaussianRational reference pins the order of its terms, which the
 # multinomial kernel does not keep.
-
-
-def _integer_form(poly: "Poly4") -> tuple[dict, int]:
-    """Numerators over ``den``, the lcm of the coefficient denominators."""
-    parts = poly._coeff_parts()
-    den = 1
-    for _, re_den, _, im_den in parts.values():
-        den = lcm(den, re_den, im_den)
-    return {key: (re * (den // re_den), im * (den // im_den)) for key, (re, re_den, im, im_den) in parts.items()}, den
-
-
-def _from_integer_form(nums: dict, den: int) -> dict:
-    """The ``{monomial: GaussianRational}`` terms of an integer form."""
-    return {key: GaussianRational(Fraction(re, den), Fraction(im, den)) for key, (re, im) in nums.items()}
 
 
 def _poly_of_form(nums: dict, den: int) -> "Poly4":
@@ -122,12 +113,17 @@ def _poly_of_form(nums: dict, den: int) -> "Poly4":
 
 
 def _cached_form(poly: "Poly4") -> tuple[dict, int]:
-    """The integer form of ``poly``, built on first use and cached on it."""
+    """The integer form of ``poly``, built on first use and cached on it:
+    the numerators over ``den``, the lcm of the coefficient denominators."""
     try:
         return poly._form
     except AttributeError:
-        form = poly._form = _integer_form(poly)
-        return form
+        parts = poly._coeff_parts()
+    den = 1
+    for _, re_den, _, im_den in parts.values():
+        den = lcm(den, re_den, im_den)
+    poly._form = {key: (re * (den // re_den), im * (den // im_den)) for key, (re, re_den, im, im_den) in parts.items()}, den
+    return poly._form
 
 
 def _mul_nums(a: dict, b: dict) -> dict:
@@ -382,13 +378,13 @@ class Poly4:
         return len(self.terms)
 
     def __eq__(self, other):
+        # parts are canonical, so they are equal exactly when the terms are,
+        # and a polynomial compares and hashes alike whichever way it was built
         if not isinstance(other, Poly4):
             return NotImplemented
-        return self.terms == other.terms
+        return len(self) == len(other) and self._coeff_parts() == other._coeff_parts()
 
     def __hash__(self):
-        # hashes the parts, which are equal exactly when the terms are, so
-        # a polynomial hashes alike whichever way it was built
         return hash(frozenset(self._coeff_parts().items()))
 
     def _coeff_parts(self) -> dict:
@@ -421,9 +417,9 @@ class Poly4:
             return Poly4._raw(_shifted(other.terms, self.terms))
         if len(other) == 1:
             return Poly4._raw(_shifted(self.terms, other.terms))
-        a, a_den = _integer_form(self)
-        b, b_den = _integer_form(other)
-        return Poly4._raw(_from_integer_form(_mul_nums(a, b), a_den * b_den))
+        a, a_den = _cached_form(self)
+        b, b_den = _cached_form(other)
+        return _poly_of_form(_mul_nums(a, b), a_den * b_den)
 
     def __pow__(self, exponent: int) -> "Poly4":
         if not isinstance(exponent, int) or exponent < 0:
@@ -431,7 +427,7 @@ class Poly4:
         if len(self) == 1:
             ((k0, k1, k2, k3), coeff), = self.terms.items()
             return Poly4._raw({(exponent * k0, exponent * k1, exponent * k2, exponent * k3): coeff ** exponent})
-        return Poly4._raw(_from_integer_form(*_pow_form(*_integer_form(self), exponent)))
+        return _poly_of_form(*_pow_form(*_cached_form(self), exponent))
 
     def scale(self, coeff) -> "Poly4":
         coeff = GaussianRational.coerce(coeff)
@@ -447,10 +443,12 @@ class Poly4:
         )
 
     def is_bar_fixed(self) -> bool:
-        """True when the polynomial is real-valued at every point."""
-        for (a, b, c, d), coeff in self.terms.items():
-            partner = self.terms.get((b, a, d, c))
-            if partner is None or partner != coeff.conjugate():
+        """True when the polynomial is real-valued at every point: each
+        coefficient's partner, at the monomial with each variable swapped
+        with its conjugate, is its conjugate."""
+        parts = self._coeff_parts()
+        for (a, b, c, d), (re, re_den, im, im_den) in parts.items():
+            if parts.get((b, a, d, c)) != (re, re_den, -im, im_den):
                 return False
         return True
 
@@ -544,11 +542,11 @@ class Poly4:
 
 
 class _PartsPoly4(Poly4):
-    """A polynomial built by the expression layer, whose coefficients are
-    stored as their parts (``Poly4._coeff_parts``); ``terms`` is built from
-    them on first read and then cached.  Being a subclass, with its own
-    ``==``, which Python tries first against a plain ``Poly4``, it leaves
-    polynomials built from ``terms`` with no lazy read on their path."""
+    """A polynomial whose coefficients are stored as their parts
+    (``Poly4._coeff_parts``): what the expression layer's readers and the
+    integer kernels build.  ``terms`` is built from the parts on first read
+    and then cached; a subclass only for storage, so polynomials built from
+    ``terms`` have no lazy read on their path."""
 
     __slots__ = ("_parts",)
 
@@ -576,14 +574,6 @@ class _PartsPoly4(Poly4):
 
     def __len__(self):
         return len(self._parts)
-
-    def __eq__(self, other):
-        # parts are canonical, so they are equal exactly when the terms are
-        if not isinstance(other, Poly4):
-            return NotImplemented
-        return self._parts == other._coeff_parts()
-
-    __hash__ = Poly4.__hash__
 
 
 class _Pair:

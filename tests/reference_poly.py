@@ -6,8 +6,11 @@ integer parts.  The others are the scalar loops that ``Poly4.__mul__``,
 ``Poly4.__pow__`` and ``Poly4.substitute`` ran before they moved to integer
 numerators over a common denominator, and the per-variable derivative and
 the chain of derivatives, scales and sums that ``Poly4.diff`` and
-``Operator.apply`` ran before the one-pass ``Poly4.derive``.  Tests compare
-the kernels against them: equal values and the same term order.
+``Operator.apply`` ran before the one-pass ``Poly4.derive``.  ``ref_add``,
+``ref_scale``, ``ref_bar``, ``ref_group_by`` and ``ref_is_bar_fixed`` are
+the loops over GaussianRational terms that ``Poly4`` runs for them, or ran
+before the hyperbolic-valued test read coefficient parts.  Tests compare the
+kernels against them: equal values and the same term order.
 """
 
 from math import perm
@@ -85,3 +88,44 @@ def ref_apply(op_poly: Poly4, target: Poly4) -> Poly4:
         if not piece.is_zero():
             out = out + piece.scale(coeff)
     return out
+
+
+def ref_add(p: Poly4, q: Poly4) -> Poly4:
+    out = dict(p.terms)
+    for key, coeff in q.terms.items():
+        acc = out.get(key)
+        total = coeff if acc is None else acc + coeff
+        if total.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = total
+    return Poly4._raw(out)
+
+
+def ref_scale(p: Poly4, value) -> Poly4:
+    value = GaussianRational.coerce(value)
+    if value.is_zero():
+        return Poly4.zero()
+    return Poly4._raw({key: coeff * value for key, coeff in p.terms.items()})
+
+
+def ref_bar(p: Poly4) -> Poly4:
+    return Poly4._raw({(b, a, d, c): coeff.conjugate() for (a, b, c, d), coeff in p.terms.items()})
+
+
+def ref_group_by(p: Poly4, positions) -> dict:
+    groups: dict = {}
+    for key, coeff in p.terms.items():
+        residual = list(key)
+        for pos in positions:
+            residual[pos] = 0
+        groups.setdefault(tuple(key[pos] for pos in positions), {})[tuple(residual)] = coeff
+    return {index: Poly4._raw(terms) for index, terms in groups.items()}
+
+
+def ref_is_bar_fixed(p: Poly4) -> bool:
+    for (a, b, c, d), coeff in p.terms.items():
+        partner = p.terms.get((b, a, d, c))
+        if partner is None or partner != coeff.conjugate():
+            return False
+    return True

@@ -74,6 +74,8 @@ _BAD_ARGUMENTS = {
     "run_suite name": lambda: run_suite("nosuch"),
     "run_suite trials": lambda: run_suite("mainthm-i", trials=-1),
     "Poly4.monomial key": lambda: bcpoly.Poly4.monomial((-1, 0, 0, 0)),
+    "Poly4 bool exponent": lambda: bcpoly.Poly4({(True, 0, 0, 0): 1}),
+    "Poly4.monomial bool exponent": lambda: bcpoly.Poly4.monomial((0, False, 2, 0)),
     "Poly4 power": lambda: bcpoly.Poly4.variable(0) ** -1,
     "Poly4.diff times": lambda: bcpoly.Poly4.variable(0).diff(0, -1),
     "constant_value": lambda: bcpoly.BicomplexFunction.variable().constant_value(),

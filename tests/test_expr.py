@@ -30,7 +30,7 @@ from bcpoly.expr import MAX_NESTING, MAX_TERM_PAIRS, function_from_json_obj, fun
 from bcpoly import expr
 from bcpoly.expr import _Budget, _Reader, _read_canonical
 from bcpoly.operators import Operator, laplacian
-from bcpoly.polyfun import BicomplexFunction, Poly4, _integer_form, _mul_nums, _multinomial_form, _multinomial_pairs
+from bcpoly.polyfun import BicomplexFunction, Poly4, _cached_form, _mul_nums, _multinomial_form, _multinomial_pairs
 from bcpoly.polyfun import _poly_of_form, _pow_form
 from bcpoly.sampling import Sampler
 
@@ -211,10 +211,15 @@ def test_nesting_limit():
 
 def test_expansion_work_limit():
     # each ran for minutes or would exhaust memory without the limit; the
-    # limit comes before the syntax error at the end of the third
+    # limit comes before the syntax error at the end of the third; the
+    # products and the divisor chain of long literals grew quadratically
     nested_calls = "rec(1+Z*(" * 50 + "Z" + ")" * 100
+    literal = "9" * 4000
+    long_product = "*".join([literal] * 400)
+    long_divisors = "Z/" + "/".join([literal] * 400)
+    nested_products = "(" * 99 + literal + f"*{literal})" * 99
     for text in (nested_calls, "(Z+star(Z)+dag(Z)+1)^200", "(Z+star(Z)+dag(Z)+1)^200 +", "7^777777777777",
-                 "(Z+1)^1000", "(Z+1)^5000", "(Z+1)^100000"):
+                 "(Z+1)^1000", "(Z+1)^5000", "(Z+1)^100000", long_product, long_divisors, nested_products):
         start = time.perf_counter()
         with pytest.raises(ExprLimitError) as err:
             parse(text)
@@ -251,7 +256,7 @@ def _power_bases():
 @settings(deadline=None)
 @given(_power_bases(), st.integers(0, 12))
 def test_power_gives_and_charges_what_square_and_multiply_does(base, n):
-    nums, den = _integer_form(base)
+    nums, den = _cached_form(base)
     counted = []
 
     def counting_mul(a, b):
@@ -628,22 +633,29 @@ def test_mixed_denominators_read_and_print_in_linear_time():
     assert again == text
 
 
-def test_call_free_round_trip_builds_no_gaussian_rational(monkeypatch):
+def test_call_free_round_trip_builds_no_gaussian_rational(gaussian_rationals_built):
     # readers store coefficient parts, and printers and equality read them
-    built = []
-    init = GaussianRational.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(GaussianRational, "__init__", counting_init)
     fn = parse("(Z + 2/3*i)^3 + k*Z^2/5")
     reparsed = parse(format_function(fn), raw=True)
     from_json = function_from_json(function_to_json(reparsed))
     assert from_json == fn and from_json == reparsed
     assert [len(p) for g in (fn, reparsed, from_json) for p in (g.plus, g.minus)] == [4, 4] * 3
-    assert built == []
+    assert gaussian_rationals_built == []
+
+
+def test_operations_on_a_parse_result_build_no_gaussian_rational(gaussian_rationals_built):
+    # products and powers run on the integer form and give parts; equality,
+    # hash and the hyperbolic-valued test read parts
+    fn = parse("(Z + 2/3*i)^3 + k*Z^2/5")
+    square, cube = fn * fn, fn ** 3
+    assert square == fn ** 2 and hash(square) == hash(fn ** 2) and cube != square
+    assert hash(fn) == hash(parse("(Z + 2/3*i)^3 + k*Z^2/5"))
+    assert not fn.is_hyperbolic_valued() and not square.is_hyperbolic_valued()
+    real = parse("a*ac + (1+2i)*a + (1-2i)*ac | 3/2*b*bc - b - bc", raw=True)
+    assert real.is_hyperbolic_valued() and (real * real).is_hyperbolic_valued() and (real ** 3).is_hyperbolic_valued()
+    assert parse(format_function(cube), raw=True) == cube
+    assert function_from_json(function_to_json(square)) == square
+    assert gaussian_rationals_built == []
 
 
 def _z_text(poly: Poly4) -> str:

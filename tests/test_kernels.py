@@ -1,5 +1,5 @@
-"""The Gaussian-rational product, the kernels of ``Poly4`` and
-``BicomplexFunction.evaluate`` against the reference routines of
+"""The Gaussian-rational product, the kernels and term loops of ``Poly4``
+and ``BicomplexFunction.evaluate`` against the reference routines of
 ``reference_poly``, and the expression reader on a large round trip."""
 
 import random
@@ -9,12 +9,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from bcpoly import Bicomplex, GaussianRational, format_function, parse
+from bcpoly import Bicomplex, GaussianRational, format_function, format_poly, function_from_json, function_to_json, parse
 from bcpoly import polyfun
 from bcpoly.operators import WIRTINGER_KINDS, laplacian, wirtinger
 from bcpoly.polyfun import MAX_EVAL_BITS, BicomplexFunction, EvalLimitError, Poly4
 
-from reference_poly import ref_apply, ref_diff, ref_gr_mul, ref_mul, ref_pow, ref_substitute
+from reference_poly import ref_add, ref_apply, ref_bar, ref_diff, ref_gr_mul, ref_group_by, ref_is_bar_fixed, ref_mul
+from reference_poly import ref_pow, ref_scale, ref_substitute
 from strategies import fractions_small, gaussians, monomials
 
 
@@ -263,3 +264,96 @@ def test_multinomial_kernel_takes_every_power_from_its_start_on():
     for t, start in polyfun._MULTINOMIAL_FROM.items():
         for n in range(1000):
             assert (polyfun._pow_pairs(t, n) > polyfun._multinomial_steps(t, n)) == (n >= start)
+
+
+# each route builds the polynomial it is given: as is, through the printed
+# text (the canonical kernel, and the reader), through JSON, and as a power
+# through the integer kernel
+_ROUTES = [
+    lambda p: p,
+    lambda p: parse(format_poly(p) + " | 0", raw=True).plus,
+    lambda p: parse(format_poly(p) + " + 0 | 0", raw=True).plus,
+    lambda p: function_from_json(function_to_json(BicomplexFunction(p, Poly4.zero()))).plus,
+    lambda p: p ** 1,
+]
+
+
+def routed(polys):
+    """Polynomials of ``polys``, each built by one of ``_ROUTES``."""
+    return st.tuples(polys, st.sampled_from(_ROUTES)).map(lambda pr: pr[1](pr[0]))
+
+
+def term_polys():
+    return routed(st.one_of(st.just(Poly4.zero()), one_term_polys(), cancelling_polys(), mixed_polys()))
+
+
+@given(term_polys(), term_polys())
+def test_add_matches_reference(p, q):
+    assert same(p + q, ref_add(p, q))
+    assert same(p - q, ref_add(p, ref_scale(q, -1)))
+
+
+@given(term_polys(), st.one_of(st.just(GaussianRational(0)), gaussians(), st.integers(-3, 3), fractions_small()))
+def test_scale_matches_reference(p, value):
+    assert same(p.scale(value), ref_scale(p, value))
+
+
+@given(term_polys())
+def test_bar_matches_reference(p):
+    assert same(p.bar(), ref_bar(p))
+
+
+@given(term_polys(), st.sampled_from([(0,), (1, 0), (0, 1), (2, 3), (0, 1, 2, 3), ()]))
+def test_group_by_matches_reference(p, positions):
+    groups, expected = p.group_by(positions), ref_group_by(p, positions)
+    assert list(groups) == list(expected)
+    assert all(same(groups[index], expected[index]) for index in expected)
+
+
+def _partner(key):
+    a, b, c, d = key
+    return (b, a, d, c)
+
+
+def bar_fixed_polys():
+    """Real-valued polynomials: p + bar(p)."""
+    return st.one_of(cancelling_polys(), mixed_polys()).map(lambda p: p + p.bar())
+
+
+_SAME_SIGN, _OTHER_DENOMINATOR, _MISSING, _SELF = range(4)
+
+
+@st.composite
+def near_bar_fixed_polys(draw):
+    """A real-valued polynomial with one coefficient pair broken: the
+    partner keeps the imaginary sign, has another denominator in one part,
+    or is missing; or a monomial that is its own partner gets a nonzero
+    imaginary part."""
+    terms = dict(draw(bar_fixed_polys()).terms)
+    kind = draw(st.sampled_from([_SAME_SIGN, _OTHER_DENOMINATOR, _MISSING, _SELF]))
+    re = draw(fractions_small())
+    im = draw(fractions_small().filter(bool))
+    if kind == _SELF:
+        a, c = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        terms[a, a, c, c] = GaussianRational(re, im)
+        return Poly4(terms)
+    key = draw(monomials(2).filter(lambda k: k != _partner(k)))
+    coeff = GaussianRational(re, im) if kind != _OTHER_DENOMINATOR else GaussianRational(re or 1, im)
+    terms[key] = coeff
+    if kind == _SAME_SIGN:
+        terms[_partner(key)] = coeff
+    elif kind == _MISSING:
+        terms.pop(_partner(key), None)
+    else:  # the partner's real or imaginary numerator over one more
+        part = draw(st.sampled_from(["re", "im"]))
+        other = coeff.re if part == "re" else -coeff.im
+        other = Fraction(other.numerator, other.denominator + 1)
+        terms[_partner(key)] = GaussianRational(other, -coeff.im) if part == "re" else GaussianRational(coeff.re, other)
+    return Poly4(terms)
+
+
+@given(routed(bar_fixed_polys()), routed(near_bar_fixed_polys()), term_polys())
+def test_is_bar_fixed_matches_reference(fixed, near_miss, p):
+    assert fixed.is_bar_fixed() and ref_is_bar_fixed(fixed)
+    assert not near_miss.is_bar_fixed() and not ref_is_bar_fixed(near_miss)
+    assert p.is_bar_fixed() == ref_is_bar_fixed(p)
