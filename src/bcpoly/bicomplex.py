@@ -261,6 +261,10 @@ class GaussianRational:
         return GaussianRational(re, im)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):  # a rational divides each part
+            if not other:
+                raise ZeroDivisionError("inverse of zero Gaussian rational")
+            return GaussianRational(self.re / other, self.im / other)
         if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
             return other
         return self * other.inverse()

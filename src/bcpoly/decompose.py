@@ -92,7 +92,8 @@ def _power_sum(coeffs: dict, bases: tuple):
     """The sum over ``coeffs`` of each coefficient times the product of the
     ``bases`` (functions, or polynomials) raised to the exponents of its
     index: the reconstruction of every expansion here.  Each base has one
-    term in each component, so each product only shifts keys."""
+    term of coefficient 1 in each component, so each product only shifts
+    keys and keeps the coefficients as they are."""
     total = type(bases[0]).zero()
     for index, coeff in coeffs.items():
         for base, exponent in zip(bases, index):

@@ -102,9 +102,11 @@ MAX_NESTING = 100
 # common denominator grows rescales its accumulated terms, two multiplies
 # each against a term pair's four, so each rescale counts half their
 # number, and as much again for each further _RESCALE_BITS bits of the new
-# denominator: about the bits that a term pair's time multiplies by a
-# one-digit factor (0.35 us a pair against 19 ns per thousand bits, on a
-# 2-core x86 VM).  The benchmark's largest
+# denominator per 30-bit digit of the rescaling factor: about the bits that
+# a term pair's time multiplies by a one-digit factor (0.35 us a pair
+# against 19 ns per thousand bits, on a 2-core x86 VM).  So a charged pair
+# of a sum over primes and of one over 31-digit denominators takes about
+# the same time, near 1.2 us there.  The benchmark's largest
 # expression needs 26 thousand, (Z+star(Z)+1)^60 570 thousand.
 MAX_TERM_PAIRS = 800_000
 _CALL_PAIRS = 64
@@ -179,10 +181,14 @@ def _rescale_charge(n_terms: int, den: int, term_den: int, charge) -> int:
     """The common denominator of a sum of ``n_terms`` over ``den`` and a
     term over ``term_den``; when it is new, rescaling the sum is charged to
     the work budget as ``n_terms // 2`` term pairs, and as much again for
-    each whole ``_RESCALE_BITS`` bits of it."""
+    each whole ``_RESCALE_BITS`` bits of it times each 30-bit digit of the
+    factor that rescales it (an int multiply costs the product of the
+    digit counts)."""
     common = lcm(den, term_den)
     if common != den:
-        charge(n_terms // 2 * (1 + common.bit_length() // _RESCALE_BITS))
+        bits = common.bit_length()
+        factor_digits = (bits - den.bit_length() + 30) // 30  # factor < 2^(bits - den bits + 1)
+        charge(n_terms // 2 * (1 + bits * factor_digits // _RESCALE_BITS))
     return common
 
 

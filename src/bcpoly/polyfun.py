@@ -28,6 +28,13 @@ The integer form ``(nums, den)`` of the kernels below is a working form,
 not storage: ``_cached_form`` is the one way in, and caches it on the
 polynomial for the products, powers and evaluations that follow.
 
+Some maps are structural and do no coefficient arithmetic: a product with
+a one-term factor of coefficient 1 (a power of it too) only shifts keys
+and keeps the other factor's coefficient objects, and ``bar`` only swaps
+keys and conjugates.  The hyperbolic real part (f + f^*)/2 takes one pass
+per component, each coefficient with its bar partner, and halves each
+part once.
+
 Functions and operators share one pair type, ``_Pair``: the checked
 constructor, type-exact equality and hash, the componentwise ring operations
 and one conjugation rule (dagger swaps the components, star bars both, tilde
@@ -147,14 +154,15 @@ def _mul_nums(a: dict, b: dict) -> dict:
 
 
 def _pow_form(nums: dict, den: int, exponent: int, mul=_mul_nums) -> tuple[dict, int]:
-    """An integer form raised to a nonnegative power by repeated squaring;
+    """An integer form raised to a nonnegative power by repeated squaring,
+    from the first square it needs (``nums`` itself for an exponent of 1);
     ``mul`` multiplies two numerator dicts."""
-    out: dict = {_ZERO_MONO: (1, 0)}
-    out_den = 1
+    if not exponent:
+        return {_ZERO_MONO: (1, 0)}, 1
+    out = None
     while exponent:
         if exponent & 1:
-            out = mul(out, nums)
-            out_den *= den
+            out, out_den = (nums, den) if out is None else (mul(out, nums), out_den * den)
         if exponent > 1:
             nums = mul(nums, nums)
             den *= den
@@ -171,7 +179,8 @@ def _pow_pairs(n_terms: int, exponent: int) -> int:
     pairs, out, square = 0, 0, 1
     while exponent:
         if exponent & 1:
-            pairs += comb(out + r, r) * comb(square + r, r)
+            if out:
+                pairs += comb(out + r, r) * comb(square + r, r)
             out += square
         if exponent > 1:
             pairs += comb(square + r, r) ** 2
@@ -190,8 +199,8 @@ def _multinomial_steps(n_terms: int, exponent: int) -> int:
 # Disjoint supports allow at most one term per variable and a constant.  Per
 # number of terms, the smallest exponent from which the multinomial kernel
 # takes fewer steps than square-and-multiply multiplies pairs, which it then
-# does for every larger exponent (a test checks this): fifth powers of two
-# terms, fourth powers of three, cubes of four and five.
+# does for every larger exponent (a test checks this): seventh powers of two
+# terms, fifth powers of three, fourth powers of four and cubes of five.
 _MULTINOMIAL_FROM = {
     t: next(n for n in count() if _pow_pairs(t, n) > _multinomial_steps(t, n)) for t in range(2, NVARS + 2)
 }
@@ -315,11 +324,51 @@ def _evaluate_form(nums: dict, den: int, tops, coordinates) -> GaussianRational:
     return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
 
 
+def _is_unit(c: GaussianRational) -> bool:
+    """True when ``c`` is exactly 1, parts ``(1, 1, 0, 1)``."""
+    re = c.re
+    return re.numerator == 1 and re.denominator == 1 and not c.im.numerator
+
+
 def _shifted(terms: dict, single: dict) -> dict:
     """``terms`` times the one term c*x^k of ``single``: each key shifted by
-    k, each coefficient times c."""
+    k, each coefficient times c; for c = 1 the coefficients themselves."""
     ((k0, k1, k2, k3), c), = single.items()
+    if _is_unit(c):
+        return {(e0 + k0, e1 + k1, e2 + k2, e3 + k3): coeff for (e0, e1, e2, e3), coeff in terms.items()}
     return {(e0 + k0, e1 + k1, e2 + k2, e3 + k3): coeff._times(c, 1) for (e0, e1, e2, e3), coeff in terms.items()}
+
+
+def _half_sum(x: Fraction, y: Fraction) -> Fraction:
+    """(x + y)/2, reduced once."""
+    xd, yd = x.denominator, y.denominator
+    return Fraction(x.numerator * yd + y.numerator * xd, 2 * xd * yd)
+
+
+def _hyperbolic(terms: dict) -> dict:
+    """The terms of (p + bar(p))/2 for the terms of p, in one pass: each
+    coefficient with its partner's conjugate, the partner at the monomial
+    with each variable swapped with its conjugate.  A monomial with no
+    partner keeps half its coefficient, and its swap, appended after the
+    others in the same order, gets half the conjugate: the terms and order
+    of the sum with ``+``, then halved."""
+    out = {}
+    unpaired = []
+    for key, coeff in terms.items():
+        a, b, c, d = key
+        swapped = (b, a, d, c)
+        partner = terms.get(swapped)
+        re, im = coeff.re, coeff.im
+        if partner is None:
+            half_re, half_im = re / 2, im / 2
+            out[key] = GaussianRational(half_re, half_im)
+            unpaired.append((swapped, GaussianRational(half_re, -half_im)))
+        else:
+            half_re, half_im = _half_sum(re, partner.re), _half_sum(im, -partner.im)
+            if half_re or half_im:
+                out[key] = GaussianRational(half_re, half_im)
+    out.update(unpaired)
+    return out
 
 
 class Poly4:
@@ -426,7 +475,8 @@ class Poly4:
             raise ArgumentError("polynomial exponent must be a nonnegative integer")
         if len(self) == 1:
             ((k0, k1, k2, k3), coeff), = self.terms.items()
-            return Poly4._raw({(exponent * k0, exponent * k1, exponent * k2, exponent * k3): coeff ** exponent})
+            power = coeff if _is_unit(coeff) else coeff ** exponent
+            return Poly4._raw({(exponent * k0, exponent * k1, exponent * k2, exponent * k3): power})
         return _poly_of_form(*_pow_form(*_cached_form(self), exponent))
 
     def scale(self, coeff) -> "Poly4":
@@ -715,8 +765,10 @@ class BicomplexFunction(_Pair):
         return Bicomplex(*(_evaluate_form(nums, den, top, coordinates) for (nums, den), top in zip(forms, tops)))
 
     def hyperbolic_part(self) -> "BicomplexFunction":
-        """(f + f^*)/2 -- hyperbolic-valued, each component fixed by bar."""
-        return (self + self.conjugate(STAR)) / 2
+        """(f + f^*)/2 -- hyperbolic-valued, each component fixed by bar.
+        Built in one pass per component, with the terms and order of the
+        sum and the halving."""
+        return BicomplexFunction(Poly4._raw(_hyperbolic(self.plus.terms)), Poly4._raw(_hyperbolic(self.minus.terms)))
 
     def real_part(self) -> "BicomplexFunction":
         """(f + f^dagger + f~ + f^*)/4 -- real-valued, components equal."""

@@ -9,14 +9,20 @@ the chain of derivatives, scales and sums that ``Poly4.diff`` and
 ``Operator.apply`` ran before the one-pass ``Poly4.derive``.  ``ref_add``,
 ``ref_scale``, ``ref_bar``, ``ref_group_by`` and ``ref_is_bar_fixed`` are
 the loops over GaussianRational terms that ``Poly4`` runs for them, or ran
-before the hyperbolic-valued test read coefficient parts.  Tests compare the
+before the hyperbolic-valued test read coefficient parts.
+``ref_unit_shift``, ``ref_hyperbolic_part`` and ``ref_power_sum`` are the
+compositions that a product by a one-term factor, the hyperbolic real part
+(f + f^*)/2 and the reconstruction of a decomposition ran before they
+became structural: a Gaussian product per term, a sum with the conjugate
+halved by a scale, and one shift per base power.  Tests compare the
 kernels against them: equal values and the same term order.
 """
 
+from fractions import Fraction
 from math import perm
 
 from bcpoly import GaussianRational
-from bcpoly.polyfun import Poly4
+from bcpoly.polyfun import BicomplexFunction, Poly4
 
 
 def ref_gr_mul(x, y) -> GaussianRational:
@@ -129,3 +135,35 @@ def ref_is_bar_fixed(p: Poly4) -> bool:
         if partner is None or partner != coeff.conjugate():
             return False
     return True
+
+
+def ref_unit_shift(p: Poly4, single: Poly4) -> Poly4:
+    """``p`` times the one term c*x^k of ``single``: each key shifted by k,
+    each coefficient times c by a Gaussian product."""
+    ((k0, k1, k2, k3), c), = single.terms.items()
+    return Poly4._raw({(e0 + k0, e1 + k1, e2 + k2, e3 + k3): coeff * c for (e0, e1, e2, e3), coeff in p.terms.items()})
+
+
+def ref_hyperbolic_part(f: BicomplexFunction) -> BicomplexFunction:
+    """(f + f^*)/2: each component plus its bar, scaled by 1/2."""
+    half = Fraction(1, 2)
+    return BicomplexFunction(*(ref_scale(ref_add(p, ref_bar(p)), half) for p in (f.plus, f.minus)))
+
+
+def _components(value) -> list:
+    return [value] if isinstance(value, Poly4) else [value.plus, value.minus]
+
+
+def ref_power_sum(coeffs: dict, bases: tuple):
+    """The sum over ``coeffs`` of each coefficient times each base raised to
+    its exponent in the index, one base after another, per component."""
+    sides = []
+    for side in range(len(_components(bases[0]))):
+        total = Poly4.zero()
+        for index, coeff in coeffs.items():
+            term = _components(coeff)[side]
+            for base, exponent in zip(bases, index):
+                term = ref_mul(ref_pow(_components(base)[side], exponent), term)
+            total = ref_add(total, term)
+        sides.append(total)
+    return sides[0] if isinstance(bases[0], Poly4) else BicomplexFunction(*sides)

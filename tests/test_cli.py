@@ -119,7 +119,8 @@ def test_operator_power_past_the_limit_is_refused_at_once():
     start = perf_counter()
     with contextlib.redirect_stderr(err):
         assert main(["apply", "d7^100000", "Z"]) == 2
-    assert perf_counter() - start < 1
+    elapsed = perf_counter() - start
+    assert elapsed < 1, f"took {elapsed:.2f}s against a bound of 1s"
     assert json.loads(err.getvalue())["message"] == f"operator power 100000 is past the limit of {_MAX_OPERATOR_POWER}"
 
 

@@ -223,7 +223,8 @@ def test_expansion_work_limit():
         start = time.perf_counter()
         with pytest.raises(ExprLimitError) as err:
             parse(text)
-        assert time.perf_counter() - start < 5
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5, f"took {elapsed:.2f}s against a bound of 5s"
         assert f"limit of {MAX_TERM_PAIRS} term pairs" in str(err.value)
     # 1891 terms per component, inside the limit
     f = parse("(Z+star(Z)+1)^60")
@@ -287,13 +288,13 @@ def test_bases_with_shared_variables_stay_on_square_and_multiply():
     with mock.patch.object(expr, "_multinomial_form", spy):
         nested = parse("((1+a)^9)^10 | 0", raw=True)
         shared = parse("(a+a*b+b)^6 | 0", raw=True)
-        linear = parse("(1+a+b)^4 | 0", raw=True)
+        linear = parse("(1+a+b)^5 | 0", raw=True)
     # only 1+a and 1+a+b: (1+a)^9 has ten terms in a, a+a*b+b shares a and b
     assert bases == [[(0, 0, 0, 0), (1, 0, 0, 0)], [(0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)]]
     one, a, b = Poly4.constant(1), Poly4.variable(0), Poly4.variable(2)
     assert nested.plus == (one + a) ** 90
     assert shared.plus == (a + a * b + b) ** 6
-    assert linear.plus == (one + a + b) ** 4
+    assert linear.plus == (one + a + b) ** 5
 
 
 def _primes(count: int) -> list[int]:
@@ -315,7 +316,8 @@ def test_sum_over_growing_denominators_is_charged():
         start = time.perf_counter()
         with pytest.raises(ExprLimitError, match=f"limit of {MAX_TERM_PAIRS} term pairs"):
             parse(text)
-        assert time.perf_counter() - start < 5
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5, f"took {elapsed:.2f}s against a bound of 5s"
     f = parse(" + ".join(f"Z^{n}/{p}" for n, p in enumerate(primes[:1000])))
     assert list(f.plus.terms.items()) == [((n, 0, 0, 0), GaussianRational(Fraction(1, p))) for n, p in enumerate(primes[:1000])]
     assert list(f.minus.terms.items()) == [((0, 0, n, 0), GaussianRational(Fraction(1, p))) for n, p in enumerate(primes[:1000])]
@@ -564,7 +566,8 @@ def test_canonical_sum_over_growing_denominators_is_charged():
     start = time.perf_counter()
     with pytest.raises(ExprLimitError, match=f"limit of {MAX_TERM_PAIRS} term pairs"):
         parse(text, raw=True)
-    assert time.perf_counter() - start < 5
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5, f"took {elapsed:.2f}s against a bound of 5s"
     # a bad token anywhere is reported before the limit, as the reader does
     with pytest.raises(ExprSyntaxError, match="unexpected character '[?]'"):
         parse(text + " ?", raw=True)
@@ -582,7 +585,8 @@ def test_canonical_sum_over_growing_denominators_is_read_once():
     text = _canonical_sum([Fraction(1, p)] for p in primes)
     start = time.perf_counter()
     f = parse(text, raw=True)
-    assert time.perf_counter() - start < 0.5
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"took {elapsed:.2f}s against a bound of 0.5s"
     assert list(f.plus.terms.items()) == [((n, 0, 0, 0), GaussianRational(Fraction(1, p))) for n, p in enumerate(primes)]
     assert f.minus.is_zero()
 

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 
 from bcpoly import Bicomplex, GaussianRational, format_function, format_poly, function_from_json, function_to_json, parse
-from bcpoly import polyfun
+from bcpoly import decompose, polyfun
 from bcpoly.operators import WIRTINGER_KINDS, laplacian, wirtinger
 from bcpoly.polyfun import MAX_EVAL_BITS, BicomplexFunction, EvalLimitError, Poly4
 
-from reference_poly import ref_add, ref_apply, ref_bar, ref_diff, ref_gr_mul, ref_group_by, ref_is_bar_fixed, ref_mul
-from reference_poly import ref_pow, ref_scale, ref_substitute
+from reference_poly import ref_add, ref_apply, ref_bar, ref_diff, ref_gr_mul, ref_group_by, ref_hyperbolic_part
+from reference_poly import ref_is_bar_fixed, ref_mul, ref_pow, ref_power_sum, ref_scale, ref_substitute, ref_unit_shift
 from strategies import fractions_small, gaussians, monomials
 
 
@@ -54,6 +54,22 @@ def test_gaussian_product_matches_reference(pair, k):
     scaled = GaussianRational.coerce(x)._times(GaussianRational.coerce(y), k)
     assert (scaled.re, scaled.im) == (expected.re * k, expected.im * k)
     assert type(scaled.re) is Fraction and type(scaled.im) is Fraction
+
+
+def nonzero_rationals():
+    """Nonzero ints, small fractions and fractions of 256 to 4096 bits."""
+    return st.one_of(st.integers(-(10 ** 30), 10 ** 30), fractions_small(), big_fractions()).filter(bool)
+
+
+@given(gaussian_products(), nonzero_rationals())
+def test_gaussian_division_by_a_rational_matches_the_inverse_product(pair, divisor):
+    x = GaussianRational.coerce(pair[0])
+    quotient, expected = x / divisor, ref_gr_mul(x, GaussianRational(divisor).inverse())
+    assert (quotient.re, quotient.im) == (expected.re, expected.im)
+    assert type(quotient.re) is Fraction and type(quotient.im) is Fraction
+    for zero in (0, Fraction(0), GaussianRational(0)):
+        with pytest.raises(ZeroDivisionError, match="inverse of zero Gaussian rational"):
+            x / zero
 
 
 # few distinct coefficients and low degrees, so that products collide on
@@ -95,11 +111,17 @@ def test_pow_matches_reference(p, n):
     assert same(p ** n, ref_pow(p, n))
 
 
+# one-term factors whose coefficient is 1, and ones whose coefficient is
+# another unit or a half
+_SHIFT_COEFFS = [GaussianRational(1), GaussianRational(-1), GaussianRational(Fraction(1, 2)), GaussianRational(0, 1)]
+
+
 def one_term_polys():
-    """One term, its coefficient's parts small or with denominators of 256
-    to 4096 bits, so the integer product also meets long parts."""
+    """One term, its coefficient 1, -1, 1/2 or i, or with parts small or
+    with denominators of 256 to 4096 bits, so the integer product also
+    meets long parts."""
     parts = st.one_of(st.just(Fraction(0)), fractions_small(), big_fractions())
-    coeff = st.builds(GaussianRational, parts, parts).filter(lambda g: not g.is_zero())
+    coeff = st.sampled_from(_SHIFT_COEFFS) | st.builds(GaussianRational, parts, parts).filter(lambda g: not g.is_zero())
     return st.builds(lambda key, c: Poly4({key: c}), monomials(3), coeff)
 
 
@@ -357,3 +379,74 @@ def test_is_bar_fixed_matches_reference(fixed, near_miss, p):
     assert fixed.is_bar_fixed() and ref_is_bar_fixed(fixed)
     assert not near_miss.is_bar_fixed() and not ref_is_bar_fixed(near_miss)
     assert p.is_bar_fixed() == ref_is_bar_fixed(p)
+
+
+@given(routed(one_term_polys()), term_polys())
+def test_one_term_product_matches_reference_shift(single, p):
+    assert same(single * p, ref_unit_shift(p, single))
+    assert same(p * single, ref_unit_shift(p, single))
+
+
+def hyperbolic_inputs():
+    """Components with keys that are their own partners ((1, 1, 0, 0) and
+    the like, from exponents of at most 1), with and without a partner, and
+    ones whose sum with the conjugate cancels to zero key by key:
+    p - bar(p) and i*(p + bar(p))."""
+    polys = st.one_of(cancelling_polys(), mixed_polys())
+    return routed(st.one_of(
+        polys,
+        polys.map(lambda p: p - p.bar()),
+        polys.map(lambda p: (p + p.bar()).scale(GaussianRational(0, 1))),
+    ))
+
+
+@given(hyperbolic_inputs(), hyperbolic_inputs())
+def test_hyperbolic_part_matches_reference(plus, minus):
+    f = BicomplexFunction(plus, minus)
+    rehyp, expected = f.hyperbolic_part(), ref_hyperbolic_part(f)
+    assert same(rehyp.plus, expected.plus) and same(rehyp.minus, expected.minus)
+    assert rehyp.is_hyperbolic_valued()
+
+
+def test_hyperbolic_part_keeps_the_order_of_the_sum():
+    # (1, 1, 0, 0) is its own partner and keeps its real part; (1, 0, 0, 0)
+    # and (0, 1, 0, 0) cancel; (2, 0, 0, 0) has no partner, so (0, 2, 0, 0)
+    # comes after the others; (0, 0, 1, 1) keeps nothing
+    p = Poly4({(2, 0, 0, 0): 3, (1, 1, 0, 0): GaussianRational(5, 7), (1, 0, 0, 0): GaussianRational(1, 2),
+               (0, 1, 0, 0): GaussianRational(-1, 2), (0, 0, 1, 1): GaussianRational(0, 1), (0, 0, 0, 1): 4})
+    rehyp = BicomplexFunction(p, Poly4.zero()).hyperbolic_part()
+    assert list(rehyp.plus.terms.items()) == [
+        ((2, 0, 0, 0), GaussianRational(Fraction(3, 2))), ((1, 1, 0, 0), GaussianRational(5)),
+        ((0, 0, 0, 1), GaussianRational(2)), ((0, 2, 0, 0), GaussianRational(Fraction(3, 2))),
+        ((0, 0, 1, 0), GaussianRational(2)),
+    ]
+    assert same(rehyp.plus, ref_hyperbolic_part(BicomplexFunction(p, Poly4.zero())).plus)
+
+
+_POWER_SUM_BASES = [
+    (BicomplexFunction.variable_star(), BicomplexFunction.variable_tilde(), BicomplexFunction.variable_dagger()),
+    decompose._DAGGER_TILDE,
+    (BicomplexFunction.variable() * BicomplexFunction.variable_star(),),
+]
+
+
+@st.composite
+def power_sums(draw):
+    """Bases of a reconstruction, and coefficient functions, each built by
+    one of the routes, at exponent indices of up to 3."""
+    bases = draw(st.sampled_from(_POWER_SUM_BASES))
+    polys = routed(st.one_of(st.just(Poly4.zero()), one_term_polys(), cancelling_polys(), mixed_polys()))
+    index = st.tuples(*[st.integers(0, 3)] * len(bases))
+    coeffs = draw(st.dictionaries(index, st.builds(BicomplexFunction, polys, polys), max_size=4))
+    return coeffs, bases
+
+
+@given(power_sums())
+def test_power_sum_matches_reference(case):
+    coeffs, bases = case
+    total, expected = decompose._power_sum(coeffs, bases), ref_power_sum(coeffs, bases)
+    assert same(total.plus, expected.plus) and same(total.minus, expected.minus)
+    # the single-pair weight of almansi_complex, on polynomials
+    layers = {(t,): f.plus for (t, *_), f in coeffs.items()}
+    weight = (Poly4.variable(0) * Poly4.variable(1),)
+    assert same(decompose._power_sum(layers, weight), ref_power_sum(layers, weight))
