@@ -462,8 +462,7 @@ class Bicomplex:
             raise TypeError("bicomplex division is only defined by rational scalars")
         if divisor == 0:
             raise ZeroDivisionError("division of a bicomplex number by zero")
-        q = Fraction(1, 1) / divisor
-        return Bicomplex(self.alpha * q, self.beta * q)
+        return Bicomplex(self.alpha / divisor, self.beta / divisor)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):

@@ -92,14 +92,35 @@ def _power_sum(coeffs: dict, bases: tuple):
     """The sum over ``coeffs`` of each coefficient times the product of the
     ``bases`` (functions, or polynomials) raised to the exponents of its
     index: the reconstruction of every expansion here.  Each base has one
-    term of coefficient 1 in each component, so each product only shifts
-    keys and keeps the coefficients as they are."""
-    total = type(bases[0]).zero()
-    for index, coeff in coeffs.items():
-        for base, exponent in zip(bases, index):
-            coeff = base ** exponent * coeff
-        total = total + coeff
-    return total
+    term of coefficient 1 in each component, so each product is the
+    coefficient's terms with their keys shifted by the bases' keys times
+    the exponents of the index.  The shifted terms go into one dict per
+    component, and a key that cancels is deleted: the terms and order of
+    adding up the products with ``+``, without building them."""
+    if isinstance(bases[0], Poly4):
+        return _shifted_sum(coeffs.items(), bases)
+    return BicomplexFunction(
+        _shifted_sum(((index, coeff.plus) for index, coeff in coeffs.items()), [base.plus for base in bases]),
+        _shifted_sum(((index, coeff.minus) for index, coeff in coeffs.items()), [base.minus for base in bases]),
+    )
+
+
+def _shifted_sum(items, bases: list) -> Poly4:
+    """One component of ``_power_sum``, over (index, polynomial) items."""
+    keys = [next(iter(base.terms)) for base in bases]
+    out: dict = {}
+    for index, poly in items:
+        s0, s1, s2, s3 = (sum(e * key[var] for key, e in zip(keys, index)) for var in range(4))
+        for (e0, e1, e2, e3), coeff in poly.terms.items():
+            key = (e0 + s0, e1 + s1, e2 + s2, e3 + s3)
+            acc = out.get(key)
+            if acc is None:
+                out[key] = coeff
+            elif (coeff := acc + coeff).is_zero():
+                del out[key]
+            else:
+                out[key] = coeff
+    return Poly4._raw(out)
 
 
 def _merge_groups(plus_groups: dict, minus_groups: dict) -> dict:

@@ -2,9 +2,11 @@
 
 All draws come from one ``random.Random`` stream per sampler, so a given
 seed reproduces the exact same inputs; ``tests/golden/sampler.json`` pins
-that stream.  An integer in [lo, hi] is drawn as ``rng.choice(range(lo,
-hi + 1))``, which consumes the same random bits as ``randint(lo, hi)`` and
-gives the same value at less cost.  Class-constrained generators build
+that stream.  An integer in [lo, hi] is drawn on raw bits, as
+``random.Random`` draws below n = hi - lo + 1: ``getrandbits(k)`` with k the
+bit length of n, drawn again while it is at least n, plus lo.  That
+consumes the same bits and gives the same value as ``randint(lo, hi)`` and
+``choice(range(lo, hi + 1))``, at less cost.  Class-constrained generators build
 membership in by construction (never by rejection); the exact-order
 generators additionally plant anchor monomials at the extreme exponents so
 the advertised orders hold deterministically, not just generically.
@@ -31,23 +33,28 @@ class Sampler:
         if max_degree < 0 or coeff_bound < 1:
             raise ArgumentError("max_degree must be >= 0 and coeff_bound >= 1")
         self.rng = random.Random(seed)
+        self._getrandbits = self.rng.getrandbits  # bound once, for _int
         self.max_degree = max_degree
         self.coeff_bound = coeff_bound
-        self._numerators = range(-coeff_bound, coeff_bound + 1)
-        self._denominators = range(1, coeff_bound + 1)
         # drawn fractions by (numerator, denominator), filled as they are
         # drawn: at most (2b+1)*b entries, never more than the draws made
         self._fractions: dict[tuple[int, int], Fraction] = {}
 
     def _int(self, lo: int, hi: int) -> int:
-        return self.rng.choice(range(lo, hi + 1))
+        n = hi - lo + 1
+        k = n.bit_length()
+        getrandbits = self._getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
 
     # ------------------------------------------------------------- scalars
 
     def fraction(self, nonzero: bool = False) -> Fraction:
-        choice = self.rng.choice
+        draw, bound = self._int, self.coeff_bound
         while True:
-            n, d = choice(self._numerators), choice(self._denominators)
+            n, d = draw(-bound, bound), draw(1, bound)
             q = self._fractions.get((n, d))
             if q is None:
                 q = self._fractions[n, d] = Fraction(n, d)
@@ -78,8 +85,9 @@ class Sampler:
         return box
 
     def monomial_key(self, box: Box | None = None) -> tuple[int, int, int, int]:
-        box = self._box(box)
-        return tuple(self._int(0, b) for b in box)  # type: ignore[return-value]
+        draw = self._int
+        b0, b1, b2, b3 = self._box(box)
+        return (draw(0, b0), draw(0, b1), draw(0, b2), draw(0, b3))
 
     def poly(self, box: Box | None = None, terms: int | None = None) -> Poly4:
         if terms is None:
@@ -243,13 +251,15 @@ class Sampler:
                     b = self.real_valued_pair_poly("beta")
                 plus_coeffs[(l1, l2)], plus_coeffs[(l2, l1)] = a, a.bar()
                 minus_coeffs[(l1, l2)], minus_coeffs[(l2, l1)] = b, b.bar()
-        plus = Poly4.zero()
-        minus = Poly4.zero()
+        # each group is shifted by its own (l1, l2), so the groups' keys are
+        # disjoint and their sum is their terms one after another
+        plus: dict = {}
+        minus: dict = {}
         for (l1, l2), coeff in plus_coeffs.items():
-            plus = plus + coeff * Poly4.monomial((0, 0, l1, l2))
+            plus.update(((a, b, c + l1, d + l2), g) for (a, b, c, d), g in coeff.terms.items())
         for (l1, l2), coeff in minus_coeffs.items():
-            minus = minus + coeff * Poly4.monomial((l1, l2, 0, 0))
-        fn = BicomplexFunction(plus, minus)
+            minus.update(((a + l1, b + l2, c, d), g) for (a, b, c, d), g in coeff.terms.items())
+        fn = BicomplexFunction(Poly4._raw(plus), Poly4._raw(minus))
         non_real: list[tuple[str, int, int]] = []
         for (l1, l2) in sorted(plus_coeffs):
             if not plus_coeffs[(l1, l2)].is_bar_fixed():

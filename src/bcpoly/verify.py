@@ -144,13 +144,14 @@ def _trial_conjugation_rotation(s: Sampler, flags: dict) -> Optional[dict]:
 def _trial_reduction_lemma(s: Sampler, flags: dict) -> Optional[dict]:
     fn = s.function()
     d = {i: laplacian(i) for i in range(1, 8)}
-    if d[6].apply(fn) != d[1].apply(fn.conjugate("dagger")).conjugate("dagger"):
+    d6_fn = d[6].apply(fn)
+    if d6_fn != d[1].apply(fn.conjugate("dagger")).conjugate("dagger"):
         return _fail("reduction-6-1", f=format_function(fn))
     if d[5].apply(fn) != d[2].apply(fn.conjugate("star")).conjugate("star"):
         return _fail("reduction-5-2", f=format_function(fn))
     if d[4].apply(fn) != d[3].apply(fn.conjugate("star")).conjugate("star"):
         return _fail("reduction-4-3", f=format_function(fn))
-    if d[7].apply(fn) != d[1].apply(fn) + d[6].apply(fn) or d[7] != d[1] + d[6]:
+    if d[7].apply(fn) != d[1].apply(fn) + d6_fn or d[7] != d[1] + d[6]:
         return _fail("reduction-7-sum", f=format_function(fn))
     return None
 
@@ -158,8 +159,9 @@ def _trial_reduction_lemma(s: Sampler, flags: dict) -> Optional[dict]:
 def _trial_fn_pointwise(s: Sampler, flags: dict) -> Optional[dict]:
     fn, gn = s.function(), s.function()
     z = s.bicomplex()
+    value = fn.evaluate(z)
     for kind in ("dagger", "tilde", "star"):
-        if fn.conjugate(kind).evaluate(z) != fn.evaluate(z).conjugate(kind):
+        if fn.conjugate(kind).evaluate(z) != value.conjugate(kind):
             return _fail("pointwise-conjugation", kind=kind, f=format_function(fn), z=str(z))
     hyp = s.hyperbolic_valued_function()
     if not hyp.is_hyperbolic_valued():
@@ -171,13 +173,14 @@ def _trial_fn_pointwise(s: Sampler, flags: dict) -> Optional[dict]:
         return _fail("hyperbolic-part-projection", f=format_function(fn))
     if not fn.real_part().is_real_valued():
         return _fail("real-part-real-valued", f=format_function(fn))
-    dz = wirtinger("Z")
-    if dz.apply(fn * gn) != dz.apply(fn) * gn + fn * dz.apply(gn):
-        return _fail("leibniz", f=format_function(fn), g=format_function(gn))
     ops = [wirtinger(kind) for kind in ("Z", "Zstar", "Zdagger", "Ztilde")]
-    for i, a in enumerate(ops):
-        for b in ops[i + 1:]:
-            if a * b != b * a or a.apply(b.apply(fn)) != b.apply(a.apply(fn)):
+    images = [op.apply(fn) for op in ops]
+    dz = ops[0]
+    if dz.apply(fn * gn) != images[0] * gn + fn * dz.apply(gn):
+        return _fail("leibniz", f=format_function(fn), g=format_function(gn))
+    for i, (a, image_a) in enumerate(zip(ops, images)):
+        for b, image_b in zip(ops[i + 1:], images[i + 1:]):
+            if a * b != b * a or a.apply(image_b) != b.apply(image_a):
                 return _fail("wirtinger-commutation", f=format_function(fn))
     if Operator.k_multiplication().apply(fn) != fn.scale(K):
         return _fail("k-multiplication", f=format_function(fn))

@@ -28,7 +28,7 @@ from bcpoly import (
 )
 from bcpoly.expr import MAX_NESTING, MAX_TERM_PAIRS, function_from_json_obj, function_to_json_obj, operator_from_json_obj, operator_to_json_obj
 from bcpoly import expr
-from bcpoly.expr import _Budget, _Reader, _read_canonical
+from bcpoly.expr import _CANONICAL_TERM, _Budget, _Reader, _read_canonical
 from bcpoly.operators import Operator, laplacian
 from bcpoly.polyfun import BicomplexFunction, Poly4, _cached_form, _mul_nums, _multinomial_form, _multinomial_pairs
 from bcpoly.polyfun import _poly_of_form, _pow_form
@@ -544,13 +544,50 @@ def test_non_canonical_text_parses_as_the_reader_reads_it(text):
     _assert_parses_as_reader(text)
 
 
+# the characters of printed text, and the edits of one character made to it
+_PRINTED = "0123456789/+-*^() |iabc"
+
+
+def _printed_side(terms: list) -> str:
+    """One side of a function's text from terms matched by
+    ``_CANONICAL_TERM``: the first keeps at most a minus sign, the others
+    are joined by ' + ' or ' - ', each as its own separator says."""
+    side = []
+    for term in terms:
+        sep = _CANONICAL_TERM.match(term)[1]
+        minus = sep in (" - ", "-")
+        side.append(("-" if minus else "") if not side else (" - " if minus else " + "))
+        side.append(term[len(sep):])
+    return "".join(side)
+
+
+def _near_canonical_texts():
+    """Texts of terms drawn from ``_CANONICAL_TERM`` itself, so not only
+    what ``format_poly`` prints: unreduced, out-of-order and repeated
+    terms, a 1 before '*', exponents of any size, and the separators."""
+    # a match inside a drawn string: a full match would be drawn mostly to
+    # be filtered out, on the lookarounds
+    term = st.from_regex(_CANONICAL_TERM, alphabet=_PRINTED).map(lambda s: _CANONICAL_TERM.search(s)[0])
+    side = st.lists(term, min_size=1, max_size=4).map(_printed_side) | st.just("0")
+    return st.builds(lambda plus, minus: plus + " | " + minus, side, side)
+
+
 @settings(deadline=None)
-@given(functions(), st.data())
-def test_near_canonical_text_parses_as_the_reader_reads_it(f, data):
-    text = format_function(f)
+@given(functions().map(format_function) | _near_canonical_texts(), st.data())
+def test_near_canonical_text_parses_as_the_reader_reads_it(text, data):
     pos = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
-    edit = data.draw(st.sampled_from(["", text[pos] * 2, *"0123456789/+-*^() |iabc"]))
-    _assert_parses_as_reader(text[:pos] + edit + text[pos + 1:])
+    edit = data.draw(st.sampled_from(["", text[pos] * 2, *_PRINTED]))
+    text = text[:pos] + edit + text[pos + 1:]
+    _assert_parses_as_reader(text)
+    budget = _Budget()
+    try:
+        kernel = _read_canonical(text, budget)
+    except BicomplexError:  # what parse raised, compared with the reader's above
+        return
+    if kernel is not None:
+        reader = _Reader(text, True)
+        reader.read()
+        assert budget.work == reader.work
 
 
 def _canonical_sum(coeffs) -> str:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from bcpoly import Bicomplex, GaussianRational, format_function, format_poly, function_from_json, function_to_json, parse
 from bcpoly import decompose, polyfun
@@ -431,7 +431,7 @@ _POWER_SUM_BASES = [
 
 
 @st.composite
-def power_sums(draw):
+def scattered_power_sums(draw):
     """Bases of a reconstruction, and coefficient functions, each built by
     one of the routes, at exponent indices of up to 3."""
     bases = draw(st.sampled_from(_POWER_SUM_BASES))
@@ -441,7 +441,49 @@ def power_sums(draw):
     return coeffs, bases
 
 
+def _shift(base_side: list, index: tuple) -> tuple:
+    """The key shift of ``index`` over one component's base keys."""
+    keys = [next(iter(p.terms)) for p in base_side]
+    return tuple(sum(e * key[var] for key, e in zip(keys, index)) for var in range(4))
+
+
+@st.composite
+def colliding_power_sums(draw):
+    """Coefficient functions whose terms all land, once shifted, on a few
+    shared target keys, with coefficients that cancel: the sum meets the
+    same key again and again, deletes it and appends it anew."""
+    bases = draw(st.sampled_from(_POWER_SUM_BASES))
+    route = draw(st.sampled_from(_ROUTES))
+    # exponents of at most 2 shift no slot by more than 2 over these bases
+    targets = draw(st.lists(st.tuples(*[st.integers(2, 3)] * 4), min_size=1, max_size=2, unique=True))
+    indices = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(bases)), min_size=3, max_size=8, unique=True))
+    coeffs = {}
+    for index in indices:
+        sides = []
+        for base_side in ([b.plus for b in bases], [b.minus for b in bases]):
+            shift = _shift(base_side, index)
+            landed = draw(st.dictionaries(st.sampled_from(targets), _CANCELLING, max_size=len(targets)))
+            sides.append(route(Poly4({tuple(t - s for t, s in zip(key, shift)): c for key, c in landed.items()})))
+        coeffs[index] = BicomplexFunction(*sides)
+    return coeffs, bases
+
+
+def power_sums():
+    return scattered_power_sums() | colliding_power_sums()
+
+
+# the plus side's (0, 0, 3, 3) gets 1, then -1 (deleted), then 1/2, which
+# is appended after (0, 0, 2, 2): the order of the sum
+_REAPPEARING = (
+    {(0, 0): BicomplexFunction(Poly4({(0, 0, 3, 3): 1}), Poly4.zero()),
+     (1, 1): BicomplexFunction(Poly4({(0, 0, 2, 2): -1, (0, 0, 1, 1): 1}), Poly4.zero()),
+     (2, 1): BicomplexFunction(Poly4({(0, 0, 1, 2): Fraction(1, 2)}), Poly4.zero())},
+    decompose._DAGGER_TILDE,
+)
+
+
 @given(power_sums())
+@example(_REAPPEARING)
 def test_power_sum_matches_reference(case):
     coeffs, bases = case
     total, expected = decompose._power_sum(coeffs, bases), ref_power_sum(coeffs, bases)

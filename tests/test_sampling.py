@@ -1,3 +1,9 @@
+import random
+from fractions import Fraction
+
+import hypothesis.strategies as st
+from hypothesis import given
+
 from bcpoly import Sampler, Signature, signature_by_degrees
 from bcpoly.classify import pair_polyharmonic_order
 from bcpoly.polyfun import PAIR_ALPHA, PAIR_BETA
@@ -85,3 +91,50 @@ def test_kernel_box_generator_realness_bookkeeping():
         assert fn.is_hyperbolic_valued() and non_real == []
         fn, non_real = s.kernel_box_function(3, 2, real_coeffs=False)
         assert fn.is_hyperbolic_valued() and non_real
+
+
+# interval sizes n = 1, 2^k and 2^k + 1, where a draw of k bits is always,
+# never or half the time redrawn, and any size in between
+_SIZES = st.one_of(st.just(1), st.integers(0, 12).map(lambda k: 2 ** k), st.integers(0, 12).map(lambda k: 2 ** k + 1),
+                   st.integers(1, 5000))
+# coefficient bounds b draw numerators from 2b + 1 values and denominators
+# from b: b = 1, 2^k and 2^k + 1 meet both kinds of size
+_BOUNDS = st.one_of(st.just(1), st.sampled_from([2, 4, 8, 16, 3, 5, 9, 17]), st.integers(1, 40))
+_BOX = st.integers(0, 16)
+_DRAWS = st.one_of(
+    st.tuples(st.just("int"), st.integers(-50, 50), _SIZES),
+    st.tuples(st.just("fraction"), st.booleans()),
+    st.tuples(st.just("monomial"), st.none() | st.tuples(_BOX, _BOX, _BOX, _BOX)),
+    st.tuples(st.just("randint"), st.integers(-50, 50), _SIZES),
+    st.tuples(st.just("random"),),
+)
+
+
+def _reference_fraction(rng: random.Random, bound: int, nonzero: bool) -> Fraction:
+    while True:
+        n, d = rng.randint(-bound, bound), rng.randint(1, bound)
+        if not nonzero or n:
+            return Fraction(n, d)
+
+
+@given(st.integers(0, 2 ** 64), _BOUNDS, st.integers(0, 6), st.lists(_DRAWS, max_size=40))
+def test_draws_are_randints_of_the_same_stream(seed, bound, max_degree, draws):
+    # every draw equals random.Random(seed).randint on the same stream,
+    # interleaved with the randint and random calls that trials make on
+    # sampler.rng, and leaves the stream in the same state
+    sampler, reference = Sampler(seed, max_degree=max_degree, coeff_bound=bound), random.Random(seed)
+    for kind, *args in draws:
+        if kind == "int":
+            lo, n = args
+            assert sampler._int(lo, lo + n - 1) == reference.randint(lo, lo + n - 1)
+        elif kind == "fraction":
+            assert sampler.fraction(*args) == _reference_fraction(reference, bound, *args)
+        elif kind == "monomial":
+            box = args[0] or (max_degree,) * 4
+            assert sampler.monomial_key(args[0]) == tuple(reference.randint(0, b) for b in box)
+        elif kind == "randint":
+            lo, n = args
+            assert sampler.rng.randint(lo, lo + n - 1) == reference.randint(lo, lo + n - 1)
+        else:
+            assert sampler.rng.random() == reference.random()
+    assert sampler.rng.getstate() == reference.getstate()

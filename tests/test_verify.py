@@ -2,7 +2,7 @@ from math import perm
 
 import pytest
 
-from bcpoly import GaussianRational, classify, expr, polyfun
+from bcpoly import GaussianRational, classify, decompose, expr, polyfun
 from bcpoly.polyfun import Poly4
 from bcpoly.verify import DEFAULT_TRIALS, SUITE_NAMES, report_to_json, run_suite
 
@@ -129,6 +129,18 @@ def test_wrong_sign_in_one_term_product_is_caught(monkeypatch):
     shifted = polyfun._shifted
     monkeypatch.setattr(polyfun, "_shifted", lambda terms, single: {key: c.conjugate() for key, c in shifted(terms, single).items()})
     _assert_caught(("fn-pointwise", "almansi-roundtrip"))
+
+
+def test_power_sum_that_drops_a_shift_is_caught(monkeypatch):
+    # the last base's shift dropped from every reconstruction: the complex
+    # layers lose their weights, the kernel terms their tilde powers
+    power_sum = decompose._power_sum
+
+    def dropped(coeffs, bases):
+        return power_sum(coeffs, (*bases[:-1], type(bases[-1]).constant(1)))
+
+    monkeypatch.setattr(decompose, "_power_sum", dropped)
+    _assert_caught(("almansi-roundtrip", "mainthm-ii"))
 
 
 def test_wrong_sign_in_canonical_kernel_is_caught(monkeypatch):
