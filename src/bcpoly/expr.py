@@ -29,9 +29,10 @@ such as a linear form in Z and its conjugates in each component, is
 expanded by the multinomial theorem once that takes fewer steps than
 square-and-multiply; it is charged, before any work, the term pairs
 square-and-multiply would multiply, so every text is accepted or refused
-alike on either route.  Its work is bounded by ``MAX_TERM_PAIRS``, past
-which ``ExprLimitError`` is raised, possibly before a syntax error later in
-the text.
+alike on either route.  A call runs on its argument's integer forms and
+is charged the terms it writes.  The work of a parse is bounded by
+``MAX_TERM_PAIRS``, past which ``ExprLimitError`` is raised, possibly
+before a syntax error later in the text.
 
 The canonical text for a function is ``plus-poly | minus-poly`` with
 monomials in ascending lexicographic exponent order; parsing the canonical
@@ -56,11 +57,11 @@ from itertools import islice, starmap
 from math import lcm
 
 from .bicomplex import Bicomplex, BicomplexError
-from .bicomplex import DAGGER, E_MINUS, E_PLUS, I, J, K, STAR, TILDE
+from .bicomplex import E_MINUS, E_PLUS, I, J, K
 from .bicomplex import _in_lowest_terms, _join_terms, _number_text, _output_limit_error, _parts_from_json, _signed_unit_term
 from .operators import Operator
 from .polyfun import BicomplexFunction, Poly4
-from .polyfun import _ZERO_MONO, _PartsPoly4, _cached_form, _mul_nums
+from .polyfun import _ZERO_MONO, _PartsPoly4, _bar_form, _cached_form, _hyperbolic_form, _mul_nums
 from .polyfun import _multinomial_form, _multinomial_pairs, _poly_of_form, _pow_form
 
 __all__ = [
@@ -97,8 +98,7 @@ MAX_NESTING = 100
 # gain per factor (log2 of x's denominator and of the sum of |re| + |im|
 # over its numerators), and a factor or divisor of a term counts its bits
 # once the term's coefficient or divisor is past _RESCALE_BITS bits.  A
-# call, which runs on Gaussian rationals, counts _CALL_PAIRS per term of its
-# argument, about its cost against the integer multiply.  A sum whose
+# call counts the terms it writes, one pass over its argument.  A sum whose
 # common denominator grows rescales its accumulated terms, two multiplies
 # each against a term pair's four, so each rescale counts half their
 # number, and as much again for each further _RESCALE_BITS bits of the new
@@ -109,16 +109,9 @@ MAX_NESTING = 100
 # the same time, near 1.2 us there.  The benchmark's largest
 # expression needs 26 thousand, (Z+star(Z)+1)^60 570 thousand.
 MAX_TERM_PAIRS = 800_000
-_CALL_PAIRS = 64
 _RESCALE_BITS = 1 << 14
 
-_FUNCS = {
-    "dag": lambda f: f.conjugate(DAGGER),
-    "til": lambda f: f.conjugate(TILDE),
-    "star": lambda f: f.conjugate(STAR),
-    "rehyp": lambda f: f.hyperbolic_part(),
-    "rec": lambda f: f.real_part(),
-}
+_FUNCS = {"dag", "til", "star", "rehyp", "rec"}
 
 # the values of the named atoms, as integer forms per component; shared,
 # so no rule may add into them
@@ -132,7 +125,7 @@ _ATOMS = {
     )
 }
 _SYMBOLS = {"+", "-", "*", "/", "^", "(", ")", "|"}
-_KNOWN = set(_ATOMS) | set(_FUNCS) | _SYMBOLS | {""}
+_KNOWN = set(_ATOMS) | _FUNCS | _SYMBOLS | {""}
 
 
 class ExprSyntaxError(BicomplexError):
@@ -235,8 +228,9 @@ class _Reader(_Budget):
     per component (0: plus, 1: minus), of which only the components in
     ``comps`` are computed (the others may be None).  The two sides of
     'P | M' each compute just the component they give; a call computes
-    both for its argument.  The forms that ``term`` returns are new dicts,
-    so a sum may add into its first term in place.
+    both for its argument.  The forms that ``term`` and a call return are
+    new dicts, one per component (rec's two included), so a sum may add
+    into its first term in place, and rec into its argument.
     """
 
     def __init__(self, text: str, raw: bool):
@@ -285,6 +279,25 @@ class _Reader(_Budget):
     def mul(self, a: dict, b: dict) -> dict:
         self.charge(len(a) * len(b))
         return _mul_nums(a, b)
+
+    def call(self, name: str, plus: tuple, minus: tuple) -> tuple:
+        """The components in ``comps`` of the call ``name`` on an argument
+        of forms ``plus`` and ``minus``, each charged the terms it writes:
+        dag swaps them, star bars each and til does both, rehyp is
+        (p + bar(p))/2 per component, and rec is (s + bar(s))/4 in both for
+        s the sum of the two, added into ``plus`` in place."""
+        if name == "dag":
+            return minus, plus
+        if name == "til":
+            plus, minus = minus, plus
+        elif name == "rec":
+            plus = minus = (plus[0], _add_into(*plus, *minus, 1, self.charge))
+        out = [None, None]
+        for c in self.comps:
+            form = (plus, minus)[c]
+            out[c] = _bar_form(*form) if name in ("star", "til") else _hyperbolic_form(*form, 2 if name == "rehyp" else 4)
+            self.charge(len(out[c][0]))
+        return tuple(out)
 
     # ---- grammar
 
@@ -428,15 +441,12 @@ class _Reader(_Budget):
             if not self.raw and token in VAR_NAMES:
                 raise self.error(f"idempotent variable {token!r} requires raw idempotent mode", start)
             return terms
-        func = _FUNCS.get(token)
-        if func is not None:
+        if token in _FUNCS:
             self.expect("(")
             outer, self.comps = self.comps, (0, 1)
-            plus, minus = self.nested(start + 1)
+            argument = self.nested(start + 1)
             self.comps = outer
-            self.charge(_CALL_PAIRS * (len(plus[0]) + len(minus[0])))
-            value = func(BicomplexFunction(_poly_of_form(*plus), _poly_of_form(*minus)))
-            return tuple(_cached_form((value.plus, value.minus)[c]) if c in outer else None for c in (0, 1))
+            return self.call(token, *argument)
         raise self.error(f"expected an atom, found {_kind(token)!r}", start)
 
 

@@ -19,9 +19,9 @@ arithmetic reads the same one, its parts:
 - parts, ``{monomial: (re_num, re_den, im_num, im_den)}`` in lowest terms:
   what the expression layer's readers (``parse`` and the JSON readers of
   functions and operators) build, and what products and powers of several
-  terms build through ``_poly_of_form``, the one way out of the integer
-  form.  ``terms`` of such a polynomial is built on its first read and
-  cached.  ``==``, ``hash``, ``is_bar_fixed``, the printers and
+  terms and the real parts build through ``_poly_of_form``, the one way
+  out of the integer form.  ``terms`` of such a polynomial is built on its
+  first read and cached.  ``==``, ``hash``, ``is_bar_fixed``, the printers and
   ``_cached_form`` read parts, read off ``terms`` for any other polynomial.
 
 The integer form ``(nums, den)`` of the kernels below is a working form,
@@ -31,9 +31,9 @@ polynomial for the products, powers and evaluations that follow.
 Some maps are structural and do no coefficient arithmetic: a product with
 a one-term factor of coefficient 1 (a power of it too) only shifts keys
 and keeps the other factor's coefficient objects, and ``bar`` only swaps
-keys and conjugates.  The hyperbolic real part (f + f^*)/2 takes one pass
-per component, each coefficient with its bar partner, and halves each
-part once.
+keys and conjugates.  The hyperbolic real part (f + f^*)/2 and the real
+part, (s + bar(s))/4 in both components for s = f_plus + f_minus, take
+one pass per component on the integer form, as the reader's calls do.
 
 Functions and operators share one pair type, ``_Pair``: the checked
 constructor, type-exact equality and hash, the componentwise ring operations
@@ -83,12 +83,12 @@ def _as_monomial(key) -> Monomial:
     return key  # type: ignore[return-value]
 
 
-# Integer kernels.  Multiply, power and evaluate run on an integer form: the
-# numerators of the coefficients as Gaussian-integer pairs over one common
-# positive denominator, ``({monomial: (re_num, im_num)}, den)``, the layout of
-# FLINT's fmpq_poly.  Kernels never store a zero pair, and a key that
-# cancels to zero and reappears moves to the end, so the terms of a result
-# come in the order of the GaussianRational loops they replace.  A form has
+# Integer kernels.  Multiply, power, evaluate and the real parts run on an
+# integer form: the numerators of the coefficients as Gaussian-integer pairs
+# over one common positive denominator, ``({monomial: (re_num, im_num)},
+# den)``, the layout of FLINT's fmpq_poly.  Kernels never store a zero pair,
+# and a key that cancels to zero and reappears moves to the end, so the
+# terms of a result come in the order of the loops they replace.  A form has
 # one way in and one way out: ``_cached_form`` reads a polynomial's form,
 # which the reader and the kernels leave on the polynomials they return and
 # any other polynomial builds from its parts on first use, and
@@ -262,6 +262,27 @@ def _multinomial_form(nums: dict, den: int, exponent: int) -> tuple[dict, int]:
     return out, den ** exponent
 
 
+def _bar_form(nums: dict, den: int) -> tuple[dict, int]:
+    """The form of bar(p) for the form of p."""
+    return {(b, a, d, c): (re, -im) for (a, b, c, d), (re, im) in nums.items()}, den
+
+
+def _hyperbolic_form(nums: dict, den: int, n: int) -> tuple[dict, int]:
+    """The form of (p + bar(p))/n for the form of p, in one pass: each
+    term's bar added to a copy of ``nums`` at the swapped key, once per key,
+    so the terms and their order are those of ``p + p.bar()``."""
+    out = dict(nums)
+    for (a, b, c, d), (re, im) in nums.items():
+        key = (b, a, d, c)
+        acc_re, acc_im = out.get(key, (0, 0))
+        re, im = acc_re + re, acc_im - im
+        if re or im:
+            out[key] = (re, im)
+        else:
+            del out[key]
+    return out, den * n
+
+
 def _powers(value: GaussianRational, top: int) -> tuple[list, list]:
     """Gaussian integers ``value^e * d^e`` for e = 0..top, and the powers
     d^e, with d the common denominator of ``value``."""
@@ -337,38 +358,6 @@ def _shifted(terms: dict, single: dict) -> dict:
     if _is_unit(c):
         return {(e0 + k0, e1 + k1, e2 + k2, e3 + k3): coeff for (e0, e1, e2, e3), coeff in terms.items()}
     return {(e0 + k0, e1 + k1, e2 + k2, e3 + k3): coeff._times(c, 1) for (e0, e1, e2, e3), coeff in terms.items()}
-
-
-def _half_sum(x: Fraction, y: Fraction) -> Fraction:
-    """(x + y)/2, reduced once."""
-    xd, yd = x.denominator, y.denominator
-    return Fraction(x.numerator * yd + y.numerator * xd, 2 * xd * yd)
-
-
-def _hyperbolic(terms: dict) -> dict:
-    """The terms of (p + bar(p))/2 for the terms of p, in one pass: each
-    coefficient with its partner's conjugate, the partner at the monomial
-    with each variable swapped with its conjugate.  A monomial with no
-    partner keeps half its coefficient, and its swap, appended after the
-    others in the same order, gets half the conjugate: the terms and order
-    of the sum with ``+``, then halved."""
-    out = {}
-    unpaired = []
-    for key, coeff in terms.items():
-        a, b, c, d = key
-        swapped = (b, a, d, c)
-        partner = terms.get(swapped)
-        re, im = coeff.re, coeff.im
-        if partner is None:
-            half_re, half_im = re / 2, im / 2
-            out[key] = GaussianRational(half_re, half_im)
-            unpaired.append((swapped, GaussianRational(half_re, -half_im)))
-        else:
-            half_re, half_im = _half_sum(re, partner.re), _half_sum(im, -partner.im)
-            if half_re or half_im:
-                out[key] = GaussianRational(half_re, half_im)
-    out.update(unpaired)
-    return out
 
 
 class Poly4:
@@ -734,8 +723,7 @@ class BicomplexFunction(_Pair):
             raise TypeError("function division is only defined by rational scalars")
         if divisor == 0:
             raise ZeroDivisionError("division of a function by zero")
-        q = Fraction(1, 1) / divisor
-        return BicomplexFunction(self.plus.scale(q), self.minus.scale(q))
+        return BicomplexFunction(*(Poly4._raw({key: c / divisor for key, c in p.terms.items()}) for p in (self.plus, self.minus)))
 
     def scale(self, value) -> "BicomplexFunction":
         """Multiply by a bicomplex scalar: alpha-part on plus, beta-part on minus."""
@@ -766,14 +754,14 @@ class BicomplexFunction(_Pair):
 
     def hyperbolic_part(self) -> "BicomplexFunction":
         """(f + f^*)/2 -- hyperbolic-valued, each component fixed by bar.
-        Built in one pass per component, with the terms and order of the
-        sum and the halving."""
-        return BicomplexFunction(Poly4._raw(_hyperbolic(self.plus.terms)), Poly4._raw(_hyperbolic(self.minus.terms)))
+        Built in one pass per component on its integer form, with the terms
+        and order of the sum."""
+        return BicomplexFunction(*(_poly_of_form(*_hyperbolic_form(*_cached_form(p), 2)) for p in (self.plus, self.minus)))
 
     def real_part(self) -> "BicomplexFunction":
-        """(f + f^dagger + f~ + f^*)/4 -- real-valued, components equal."""
-        total = self + self.conjugate(DAGGER) + self.conjugate(TILDE) + self.conjugate(STAR)
-        return total / 4
+        """(f + f^dagger + f~ + f^*)/4 -- real-valued, components equal: each
+        is (s + bar(s))/4 for s = f_plus + f_minus."""
+        return BicomplexFunction.from_shared(_poly_of_form(*_hyperbolic_form(*_cached_form(self.plus + self.minus), 4)))
 
     def real_parts(self) -> tuple["BicomplexFunction", "BicomplexFunction"]:
         return self.hyperbolic_part(), self.real_part()

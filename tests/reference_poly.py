@@ -10,12 +10,14 @@ the chain of derivatives, scales and sums that ``Poly4.diff`` and
 ``ref_scale``, ``ref_bar``, ``ref_group_by`` and ``ref_is_bar_fixed`` are
 the loops over GaussianRational terms that ``Poly4`` runs for them, or ran
 before the hyperbolic-valued test read coefficient parts.
-``ref_unit_shift``, ``ref_hyperbolic_part`` and ``ref_power_sum`` are the
-compositions that a product by a one-term factor, the hyperbolic real part
-(f + f^*)/2 and the reconstruction of a decomposition ran before they
-became structural: a Gaussian product per term, a sum with the conjugate
-halved by a scale, and one shift per base power.  Tests compare the
-kernels against them: equal values and the same term order.
+``ref_unit_shift``, ``ref_hyperbolic_part``, ``ref_real_part`` and
+``ref_power_sum`` are the compositions that a product by a one-term factor,
+the hyperbolic real part (f + f^*)/2, the real part
+(f + f^dagger + f~ + f^*)/4 and the reconstruction of a decomposition ran
+before they became structural: a Gaussian product per term, a sum with the
+conjugate halved by a scale, a four-way sum quartered by a scale, and one
+shift per base power.  Tests compare the kernels against them: equal values
+and the same term order.
 """
 
 from fractions import Fraction
@@ -148,6 +150,17 @@ def ref_hyperbolic_part(f: BicomplexFunction) -> BicomplexFunction:
     """(f + f^*)/2: each component plus its bar, scaled by 1/2."""
     half = Fraction(1, 2)
     return BicomplexFunction(*(ref_scale(ref_add(p, ref_bar(p)), half) for p in (f.plus, f.minus)))
+
+
+def ref_real_part(f: BicomplexFunction) -> BicomplexFunction:
+    """(f + f^dagger + f~ + f^*)/4: per component, the sum of that
+    component of f, of its dagger (the other component), of its tilde (the
+    other component's bar) and of its star (its bar), scaled by 1/4."""
+    quarter = Fraction(1, 4)
+    return BicomplexFunction(*(
+        ref_scale(ref_add(ref_add(ref_add(p, q), ref_bar(q)), ref_bar(p)), quarter)
+        for p, q in ((f.plus, f.minus), (f.minus, f.plus))
+    ))
 
 
 def _components(value) -> list:

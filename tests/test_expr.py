@@ -28,7 +28,7 @@ from bcpoly import (
 )
 from bcpoly.expr import MAX_NESTING, MAX_TERM_PAIRS, function_from_json_obj, function_to_json_obj, operator_from_json_obj, operator_to_json_obj
 from bcpoly import expr
-from bcpoly.expr import _CANONICAL_TERM, _Budget, _Reader, _read_canonical
+from bcpoly.expr import _CANONICAL_TERM, _Budget, _Reader, _read_canonical, _rescale_charge
 from bcpoly.operators import Operator, laplacian
 from bcpoly.polyfun import BicomplexFunction, Poly4, _cached_form, _mul_nums, _multinomial_form, _multinomial_pairs
 from bcpoly.polyfun import _poly_of_form, _pow_form
@@ -48,6 +48,54 @@ def test_parse_hyperbolic_part_formula():
 def test_parse_real_part_formula():
     f = parse("(Z + dag(Z) + til(Z) + star(Z)) / 4")
     assert f == BicomplexFunction.variable().real_part()
+
+
+# each call of the reader and the library function it stands for
+_CALLS = {
+    "dag": lambda f: f.conjugate("dagger"),
+    "til": lambda f: f.conjugate("tilde"),
+    "star": lambda f: f.conjugate("star"),
+    "rehyp": BicomplexFunction.hyperbolic_part,
+    "rec": BicomplexFunction.real_part,
+}
+
+
+def _raw_text(f: BicomplexFunction) -> str:
+    return f"e+*({format_poly(f.plus)}) + e-*({format_poly(f.minus)})"
+
+
+@settings(deadline=None)
+@given(functions(), functions(), st.sampled_from(sorted(_CALLS)))
+def test_calls_agree_with_the_library(f, z, name):
+    # a call returns new dicts, rec's two components as well, so a sum that
+    # adds into its first term in place leaves the other component alone
+    call, expected = f"{name}({_raw_text(f)})", _CALLS[name](f)
+    assert parse(call, raw=True) == expected
+    assert parse(f"{call} | 0", raw=True).plus == expected.plus
+    assert parse(f"0 | {call}", raw=True).minus == expected.minus
+    assert parse(f"{call} + {_raw_text(z)}", raw=True) == expected + z
+    assert parse(f"{call} - {call}", raw=True).is_zero()
+
+
+def _work(text: str) -> int:
+    reader = _Reader(text, False)
+    reader.read()
+    return reader.work
+
+
+def test_a_call_is_charged_the_terms_it_writes():
+    # dag writes nothing; rec also pays the rescale of summing its
+    # argument's components, as any sum does
+    x = "(Z + 2/3*i)^3 + k*Z^2/5 + e-/7"  # components over different denominators
+    (plus, plus_den), (minus, minus_den) = _Reader(f"({x})", False).read()
+    budget = _Budget()
+    _rescale_charge(len(plus), plus_den, minus_den, budget.charge)
+    assert budget.work > 0
+    for name in _CALLS:
+        value = parse(f"{name}({x})")
+        written = 0 if name == "dag" else len(value.plus) + len(value.minus)
+        rescale = budget.work if name == "rec" else 0
+        assert _work(f"{name}({x})") - _work(f"({x})") == written + rescale, name
 
 
 def test_parse_realizer_formula():
@@ -674,13 +722,18 @@ def test_mixed_denominators_read_and_print_in_linear_time():
     assert again == text
 
 
-def test_call_free_round_trip_builds_no_gaussian_rational(gaussian_rationals_built):
-    # readers store coefficient parts, and printers and equality read them
+def test_round_trips_calls_and_the_hyperbolic_part_build_no_gaussian_rational(gaussian_rationals_built):
+    # readers store coefficient parts, and printers and equality read them;
+    # calls and the hyperbolic part run on the integer form
     fn = parse("(Z + 2/3*i)^3 + k*Z^2/5")
     reparsed = parse(format_function(fn), raw=True)
     from_json = function_from_json(function_to_json(reparsed))
     assert from_json == fn and from_json == reparsed
     assert [len(p) for g in (fn, reparsed, from_json) for p in (g.plus, g.minus)] == [4, 4] * 3
+    called = {name: parse(f"{name}((Z + 2/3*i)^3 + k*Z^2/5)") for name in _CALLS}
+    assert called["dag"] == parse("(dag(Z) + 2/3*i)^3 - k*dag(Z)^2/5")
+    assert called["rehyp"] == fn.hyperbolic_part() and called["rehyp"].is_hyperbolic_valued()
+    assert called["rec"].plus == called["rec"].minus and called["rec"] != called["star"]
     assert gaussian_rationals_built == []
 
 

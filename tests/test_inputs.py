@@ -3,10 +3,12 @@ a documented ``BicomplexError``, never in another exception: arbitrary JSON
 trees for the function, operator and point readers, short point texts, and
 argument lists for ``main``, which exits 0, 1 or 2 and prints nothing on
 stdout when it does not succeed.  Each example runs under a stated wall
-bound."""
+bound.  Each verify suite, run once at its default trial count, exits 0 with
+no failures under a stated wall bound."""
 
 import contextlib
 import io
+import json
 from time import perf_counter
 
 import hypothesis.strategies as st
@@ -15,10 +17,16 @@ from hypothesis import given, settings
 from bcpoly import Bicomplex, BicomplexError, parse_point
 from bcpoly.cli import main
 from bcpoly.expr import function_from_json_obj, operator_from_json_obj
+from bcpoly.verify import SUITE_NAMES
 
 # The longest any one example may take.  Each reads a few short values, in
 # a few ms on a 2-core x86 VM; the bound leaves room for a loaded host.
 WALL_BOUND_S = 5.0
+
+# The longest one verify suite may take at its default trial count.  Each
+# takes 0.002-0.63 s on a 2-core x86 VM, 3.4 s in all; the bound leaves
+# room for a loaded host.
+SUITE_BOUND_S = 10.0
 
 
 def _ends_in_result_or_domain_error(call, *args):
@@ -148,3 +156,18 @@ def test_cli_exits_0_1_or_2_with_nothing_on_stdout_on_error(argv):
     assert code in (0, 1, 2)
     if code:
         assert stdout.getvalue() == ""
+
+
+# ---- verify suites at their default trial counts
+
+
+def test_each_verify_suite_passes_at_default_trials():
+    for name in SUITE_NAMES:
+        stdout = io.StringIO()
+        start = perf_counter()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["verify", name, "--json"])
+        elapsed = perf_counter() - start
+        assert elapsed < SUITE_BOUND_S, f"{name} took {elapsed:.2f}s against a bound of {SUITE_BOUND_S}s"
+        assert code == 0, name
+        assert json.loads(stdout.getvalue())["failures"] == 0, name

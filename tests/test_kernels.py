@@ -15,8 +15,9 @@ from bcpoly.operators import WIRTINGER_KINDS, laplacian, wirtinger
 from bcpoly.polyfun import MAX_EVAL_BITS, BicomplexFunction, EvalLimitError, Poly4
 
 from reference_poly import ref_add, ref_apply, ref_bar, ref_diff, ref_gr_mul, ref_group_by, ref_hyperbolic_part
-from reference_poly import ref_is_bar_fixed, ref_mul, ref_pow, ref_power_sum, ref_scale, ref_substitute, ref_unit_shift
-from strategies import fractions_small, gaussians, monomials
+from reference_poly import ref_is_bar_fixed, ref_mul, ref_pow, ref_power_sum, ref_real_part, ref_scale, ref_substitute
+from reference_poly import ref_unit_shift
+from strategies import fractions_small, functions, gaussians, monomials
 
 
 def big_fractions():
@@ -70,6 +71,17 @@ def test_gaussian_division_by_a_rational_matches_the_inverse_product(pair, divis
     for zero in (0, Fraction(0), GaussianRational(0)):
         with pytest.raises(ZeroDivisionError, match="inverse of zero Gaussian rational"):
             x / zero
+
+
+@given(functions(), nonzero_rationals())
+def test_function_division_by_a_rational_is_the_scale_by_its_inverse(f, divisor):
+    assert f / divisor == f.scale(Fraction(1, divisor))
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError, match="division of a function by zero"):
+            f / zero
+    for other in (GaussianRational(2), 2.0):
+        with pytest.raises(TypeError, match="only defined by rational scalars"):
+            f / other
 
 
 # few distinct coefficients and low degrees, so that products collide on
@@ -421,6 +433,17 @@ def test_hyperbolic_part_keeps_the_order_of_the_sum():
         ((0, 0, 1, 0), GaussianRational(2)),
     ]
     assert same(rehyp.plus, ref_hyperbolic_part(BicomplexFunction(p, Poly4.zero())).plus)
+
+
+@given(hyperbolic_inputs(), hyperbolic_inputs())
+def test_real_part_matches_reference(plus, minus):
+    # values only: the real part takes one hyperbolic pass over the sum of
+    # the components, so its terms need not come in the order of the
+    # reference's four-way sum, and that order is not pinned
+    f = BicomplexFunction(plus, minus)
+    real = f.real_part()
+    assert real == ref_real_part(f)
+    assert real.is_real_valued()
 
 
 _POWER_SUM_BASES = [
