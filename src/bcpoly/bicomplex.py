@@ -279,19 +279,10 @@ class GaussianRational:
             raise TypeError("exponent must be an integer")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        # (p + q*i)^e over d^e, d the common denominator of the parts, by
-        # repeated squaring on the integers p and q, reduced once per part
+        # (p + q*i)^e over d^e, d the parts' common denominator, reduced once
         re, im = self.re, self.im
         d = lcm(re.denominator, im.denominator)
-        p, q = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
-        x, y = 1, 0
-        n = exponent
-        while n:
-            if n & 1:
-                x, y = x * p - y * q, x * q + y * p
-            n >>= 1
-            if n:
-                p, q = p * p - q * q, 2 * p * q
+        x, y = _gaussian_power(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), exponent)
         den = d ** exponent
         return GaussianRational(Fraction(x, den), Fraction(y, den))
 
@@ -332,6 +323,18 @@ class GaussianRational:
     def from_json(cls, data, path: str = "coeff") -> "GaussianRational":
         re_num, re_den, im_num, im_den = _parts_from_json(data, path)
         return cls(Fraction(re_num, re_den), Fraction(im_num, im_den))
+
+
+def _gaussian_power(p: int, q: int, exponent: int) -> tuple[int, int]:
+    """(p + q*i)^exponent for ints p, q and exponent >= 0, by repeated squaring."""
+    x, y = 1, 0
+    while exponent:
+        if exponent & 1:
+            x, y = x * p - y * q, x * q + y * p
+        exponent >>= 1
+        if exponent:
+            p, q = p * p - q * q, 2 * p * q
+    return x, y
 
 
 def _operand(value):

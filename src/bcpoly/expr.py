@@ -29,10 +29,11 @@ such as a linear form in Z and its conjugates in each component, is
 expanded by the multinomial theorem once that takes fewer steps than
 square-and-multiply; it is charged, before any work, the term pairs
 square-and-multiply would multiply, so every text is accepted or refused
-alike on either route.  A call runs on its argument's integer forms and
-is charged the terms it writes.  The work of a parse is bounded by
-``MAX_TERM_PAIRS``, past which ``ExprLimitError`` is raised, possibly
-before a syntax error later in the text.
+alike on either route; a power of one term is charged only the bits its
+numbers gain.  A call runs on its argument's integer forms, on the
+library's kernels, and is charged the terms it writes.  The work of a parse
+is bounded by ``MAX_TERM_PAIRS``, past which ``ExprLimitError`` is raised,
+possibly before a syntax error later in the text.
 
 The canonical text for a function is ``plus-poly | minus-poly`` with
 monomials in ascending lexicographic exponent order; parsing the canonical
@@ -61,8 +62,8 @@ from .bicomplex import E_MINUS, E_PLUS, I, J, K
 from .bicomplex import _in_lowest_terms, _join_terms, _number_text, _output_limit_error, _parts_from_json, _signed_unit_term
 from .operators import Operator
 from .polyfun import BicomplexFunction, Poly4
-from .polyfun import _ZERO_MONO, _PartsPoly4, _bar_form, _cached_form, _hyperbolic_form, _mul_nums
-from .polyfun import _multinomial_form, _multinomial_pairs, _poly_of_form, _pow_form
+from .polyfun import _RESCALE_BITS, _ZERO_MONO, _PartsPoly4, _add_into, _bar_form, _cached_form, _hyperbolic_form, _mul_nums
+from .polyfun import _multinomial_form, _multinomial_pairs, _poly_of_form, _pow_form, _real_form, _rescale_charge
 
 __all__ = [
     "ExprSyntaxError",
@@ -96,20 +97,20 @@ MAX_NESTING = 100
 # variable), the power counts, before any work, the pairs square-and-multiply
 # would multiply.  A power x^e also counts e times the bits its numbers can
 # gain per factor (log2 of x's denominator and of the sum of |re| + |im|
-# over its numerators), and a factor or divisor of a term counts its bits
-# once the term's coefficient or divisor is past _RESCALE_BITS bits.  A
-# call counts the terms it writes, one pass over its argument.  A sum whose
-# common denominator grows rescales its accumulated terms, two multiplies
-# each against a term pair's four, so each rescale counts half their
-# number, and as much again for each further _RESCALE_BITS bits of the new
-# denominator per 30-bit digit of the rescaling factor: about the bits that
-# a term pair's time multiplies by a one-digit factor (0.35 us a pair
-# against 19 ns per thousand bits, on a 2-core x86 VM).  So a charged pair
-# of a sum over primes and of one over 31-digit denominators takes about
-# the same time, near 1.2 us there.  The benchmark's largest
-# expression needs 26 thousand, (Z+star(Z)+1)^60 570 thousand.
+# over its numerators), a power of one term only those, and a factor or
+# divisor of a term its bits once the term's coefficient or divisor is past
+# _RESCALE_BITS bits.  A call counts the terms it writes, one pass over its
+# argument.  A sum whose common denominator grows rescales its accumulated
+# terms, two multiplies each against a term pair's four, so each rescale
+# counts half their number, and as much again for each further
+# _RESCALE_BITS bits of the new denominator per 30-bit digit of the
+# rescaling factor: about the bits that a term pair's time multiplies by a
+# one-digit factor (0.35 us a pair against 19 ns per thousand bits, on a
+# 2-core x86 VM).  So a charged pair of a sum over primes and of one over
+# 31-digit denominators takes about the same time, near 1.2 us there.  The
+# benchmark's largest expression needs 26 thousand, (Z+star(Z)+1)^60 570
+# thousand.
 MAX_TERM_PAIRS = 800_000
-_RESCALE_BITS = 1 << 14
 
 _FUNCS = {"dag", "til", "star", "rehyp", "rec"}
 
@@ -170,45 +171,6 @@ def _factor_bits(nums: dict, den: int) -> int:
     return max(norm.bit_length() - 1, 0) + den.bit_length() - 1
 
 
-def _rescale_charge(n_terms: int, den: int, term_den: int, charge) -> int:
-    """The common denominator of a sum of ``n_terms`` over ``den`` and a
-    term over ``term_den``; when it is new, rescaling the sum is charged to
-    the work budget as ``n_terms // 2`` term pairs, and as much again for
-    each whole ``_RESCALE_BITS`` bits of it times each 30-bit digit of the
-    factor that rescales it (an int multiply costs the product of the
-    digit counts)."""
-    common = lcm(den, term_den)
-    if common != den:
-        bits = common.bit_length()
-        factor_digits = (bits - den.bit_length() + 30) // 30  # factor < 2^(bits - den bits + 1)
-        charge(n_terms // 2 * (1 + bits * factor_digits // _RESCALE_BITS))
-    return common
-
-
-def _add_into(acc: dict, acc_den: int, nums: dict, den: int, sign: int, charge) -> int:
-    """Add ``sign * nums/den`` to ``acc/acc_den`` in place; returns the new
-    common denominator of ``acc``.  A new denominator rescales all of
-    ``acc``, which is charged to the work budget through ``charge``."""
-    common = _rescale_charge(len(acc), acc_den, den, charge)
-    if common != acc_den:
-        factor = common // acc_den
-        for key, (re, im) in acc.items():
-            acc[key] = (re * factor, im * factor)
-    factor = sign * (common // den)
-    for key, (re, im) in nums.items():
-        re *= factor
-        im *= factor
-        old = acc.get(key)
-        if old is not None:
-            re += old[0]
-            im += old[1]
-            if not (re or im):
-                del acc[key]
-                continue
-        acc[key] = (re, im)
-    return common
-
-
 class _Budget:
     """The expansion work of one parse, charged against ``MAX_TERM_PAIRS``."""
 
@@ -230,7 +192,7 @@ class _Reader(_Budget):
     'P | M' each compute just the component they give; a call computes
     both for its argument.  The forms that ``term`` and a call return are
     new dicts, one per component (rec's two included), so a sum may add
-    into its first term in place, and rec into its argument.
+    into its first term in place.
     """
 
     def __init__(self, text: str, raw: bool):
@@ -283,19 +245,20 @@ class _Reader(_Budget):
     def call(self, name: str, plus: tuple, minus: tuple) -> tuple:
         """The components in ``comps`` of the call ``name`` on an argument
         of forms ``plus`` and ``minus``, each charged the terms it writes:
-        dag swaps them, star bars each and til does both, rehyp is
-        (p + bar(p))/2 per component, and rec is (s + bar(s))/4 in both for
-        s the sum of the two, added into ``plus`` in place."""
+        dag swaps them, star bars each, til does both, rehyp is (p + bar(p))/2
+        per component, and rec ``_real_form`` in both (the second a copy)."""
         if name == "dag":
             return minus, plus
+        if name == "rec":
+            nums, den = _real_form(plus, minus, self.charge)
+            self.charge(len(nums) * len(self.comps))
+            return (nums, den), (dict(nums), den)
         if name == "til":
             plus, minus = minus, plus
-        elif name == "rec":
-            plus = minus = (plus[0], _add_into(*plus, *minus, 1, self.charge))
         out = [None, None]
         for c in self.comps:
             form = (plus, minus)[c]
-            out[c] = _bar_form(*form) if name in ("star", "til") else _hyperbolic_form(*form, 2 if name == "rehyp" else 4)
+            out[c] = _hyperbolic_form(*form, 2) if name == "rehyp" else _bar_form(*form)
             self.charge(len(out[c][0]))
         return tuple(out)
 
@@ -401,14 +364,8 @@ class _Reader(_Budget):
         for c in self.comps:
             nums, den = value[c]
             self.charge(exponent * _factor_bits(nums, den))
-            if len(nums) == 1:
-                [((k0, k1, k2, k3), (a, b))] = nums.items()
-                if not b:  # a real monomial
-                    e = exponent
-                    out[c] = ({(k0 * e, k1 * e, k2 * e, k3 * e): (a ** e, 0)}, den ** e)
-                    continue
             pairs = _multinomial_pairs(nums, exponent)
-            if pairs is None:
+            if pairs is None:  # _pow_form charges the pairs it multiplies, none for one term
                 out[c] = _pow_form(nums, den, exponent, self.mul)
             else:  # charged, before any work, what _pow_form would charge
                 self.charge(pairs)

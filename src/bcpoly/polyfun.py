@@ -18,22 +18,17 @@ arithmetic reads the same one, its parts:
   one-term products, ...) build, and what those loops read.
 - parts, ``{monomial: (re_num, re_den, im_num, im_den)}`` in lowest terms:
   what the expression layer's readers (``parse`` and the JSON readers of
-  functions and operators) build, and what products and powers of several
-  terms and the real parts build through ``_poly_of_form``, the one way
+  functions and operators) build, and what products of several terms,
+  powers and the real parts build through ``_poly_of_form``, the one way
   out of the integer form.  ``terms`` of such a polynomial is built on its
   first read and cached.  ``==``, ``hash``, ``is_bar_fixed``, the printers and
   ``_cached_form`` read parts, read off ``terms`` for any other polynomial.
 
-The integer form ``(nums, den)`` of the kernels below is a working form,
-not storage: ``_cached_form`` is the one way in, and caches it on the
-polynomial for the products, powers and evaluations that follow.
-
 Some maps are structural and do no coefficient arithmetic: a product with
-a one-term factor of coefficient 1 (a power of it too) only shifts keys
-and keeps the other factor's coefficient objects, and ``bar`` only swaps
-keys and conjugates.  The hyperbolic real part (f + f^*)/2 and the real
-part, (s + bar(s))/4 in both components for s = f_plus + f_minus, take
-one pass per component on the integer form, as the reader's calls do.
+a one-term factor of coefficient 1 only shifts keys and keeps the other
+factor's coefficient objects, and ``bar`` only swaps keys and conjugates.
+The two real parts and the power of one term each have one integer kernel,
+which the expression reader runs too.
 
 Functions and operators share one pair type, ``_Pair``: the checked
 constructor, type-exact equality and hash, the componentwise ring operations
@@ -44,12 +39,12 @@ does both).  Each subclass adds only its scalars and its action.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import comb, gcd, lcm, perm
 from typing import Iterable, Optional
 
 from .bicomplex import ArgumentError, Bicomplex, BicomplexError, GaussianRational
-from .bicomplex import DAGGER, STAR, TILDE, _check_kind, _int_repr
+from .bicomplex import DAGGER, STAR, TILDE, _check_kind, _gaussian_power, _int_repr
 
 __all__ = ["Poly4", "BicomplexFunction", "EvalLimitError", "MAX_EVAL_BITS", "NVARS", "PAIR_ALPHA", "PAIR_BETA"]
 
@@ -70,6 +65,7 @@ _ZERO_MONO: Monomial = (0, 0, 0, 0)
 # evaluation takes about 0.05 s; the benchmark needs at most 140 bits and the
 # tests 105.
 MAX_EVAL_BITS = 4096
+_RESCALE_BITS = 1 << 14  # the unit of bits of a sum's rescale charge (see expr.MAX_TERM_PAIRS)
 
 
 class EvalLimitError(BicomplexError):
@@ -83,28 +79,30 @@ def _as_monomial(key) -> Monomial:
     return key  # type: ignore[return-value]
 
 
-# Integer kernels.  Multiply, power, evaluate and the real parts run on an
-# integer form: the numerators of the coefficients as Gaussian-integer pairs
-# over one common positive denominator, ``({monomial: (re_num, im_num)},
-# den)``, the layout of FLINT's fmpq_poly.  Kernels never store a zero pair,
-# and a key that cancels to zero and reappears moves to the end, so the
-# terms of a result come in the order of the loops they replace.  A form has
-# one way in and one way out: ``_cached_form`` reads a polynomial's form,
-# which the reader and the kernels leave on the polynomials they return and
-# any other polynomial builds from its parts on first use, and
-# ``_poly_of_form`` turns a form into a polynomial stored as parts.
+# Integer kernels.  Multiply, power, evaluate, sums and the real parts run
+# on an integer form: the numerators of the coefficients as Gaussian-integer
+# pairs over one common positive denominator, ``({monomial: (re_num,
+# im_num)}, den)``, the layout of FLINT's fmpq_poly.  Kernels never store a
+# zero pair, and a key that cancels to zero and reappears moves to the end,
+# so the terms of a result come in the order of the loops they replace.
+# The form is a working form, not storage: ``_cached_form`` is the one way
+# in, and caches it on the polynomial, ``_poly_of_form`` the one way out.
+# The expression reader runs the same kernels and charges their work
+# through ``charge``.  Its sums, the hyperbolic part (f + f^*)/2 (each
+# component's bar added into it) and the real part (the same on the sum of
+# the components, ``_real_form``) add on ``_add_into``, whose rescales
+# ``_rescale_charge`` charges.
 #
-# Two kernels raise a form to a power.  ``_pow_form`` squares and multiplies,
-# for any form.  ``_multinomial_form`` takes forms of two or more terms with
-# pairwise disjoint supports, as a power of a linear form in Z and its
+# ``_pow_form`` is the one power of a one-term form, on the Gaussian-integer
+# power that ``GaussianRational.__pow__`` takes too, and squares and
+# multiplies a form of several terms.  ``_multinomial_form`` takes forms
+# with pairwise disjoint supports, as a power of a linear form in Z and its
 # conjugates has in each component: no two of its products collide, so it
-# builds each term of the power once, from per-term power tables and
-# binomials, where square-and-multiply multiplies ever larger intermediate
-# powers.  The expression reader takes it where it takes fewer steps than
-# square-and-multiply's pairs (``_multinomial_pairs``), and charges those
-# pairs.  ``Poly4.__pow__`` keeps square-and-multiply: the test against the
-# GaussianRational reference pins the order of its terms, which the
-# multinomial kernel does not keep.
+# builds each term once, from per-term power tables and binomials.  The
+# reader takes it where it takes fewer steps than square-and-multiply's
+# pairs (``_multinomial_pairs``), and charges those pairs; ``Poly4.__pow__``
+# keeps square-and-multiply for several terms, whose term order the test
+# against the GaussianRational reference pins.
 
 
 def _poly_of_form(nums: dict, den: int) -> "Poly4":
@@ -154,9 +152,13 @@ def _mul_nums(a: dict, b: dict) -> dict:
 
 
 def _pow_form(nums: dict, den: int, exponent: int, mul=_mul_nums) -> tuple[dict, int]:
-    """An integer form raised to a nonnegative power by repeated squaring,
-    from the first square it needs (``nums`` itself for an exponent of 1);
-    ``mul`` multiplies two numerator dicts."""
+    """An integer form to a nonnegative power: one term c*x^k as c^e*x^(e*k),
+    by its numerator's Gaussian-integer power, else by repeated squaring from
+    the first square it needs (``nums`` itself for 1), ``mul`` multiplying."""
+    if len(nums) == 1:
+        [((k0, k1, k2, k3), (re, im))] = nums.items()
+        e = exponent
+        return {(k0 * e, k1 * e, k2 * e, k3 * e): _gaussian_power(re, im, e)}, den ** e
     if not exponent:
         return {_ZERO_MONO: (1, 0)}, 1
     out = None
@@ -267,20 +269,59 @@ def _bar_form(nums: dict, den: int) -> tuple[dict, int]:
     return {(b, a, d, c): (re, -im) for (a, b, c, d), (re, im) in nums.items()}, den
 
 
+def _rescale_charge(n_terms: int, den: int, term_den: int, charge) -> int:
+    """The common denominator of a sum of ``n_terms`` over ``den`` and a
+    term over ``term_den``; a new one charges the rescale ``n_terms // 2``
+    pairs, and as much again per whole ``_RESCALE_BITS`` bits of it per
+    30-bit digit of the factor (an int multiply costs the digit product)."""
+    common = lcm(den, term_den)
+    if common != den:
+        bits = common.bit_length()
+        factor_digits = (bits - den.bit_length() + 30) // 30  # factor < 2^(bits - den bits + 1)
+        charge(n_terms // 2 * (1 + bits * factor_digits // _RESCALE_BITS))
+    return common
+
+
+def _add_into(acc: dict, acc_den: int, nums: dict, den: int, sign: int, charge) -> int:
+    """Add ``sign * nums/den`` to ``acc/acc_den`` in place and return the
+    new common denominator, whose rescale ``_rescale_charge`` charges."""
+    common = _rescale_charge(len(acc), acc_den, den, charge)
+    if common != acc_den:
+        factor = common // acc_den
+        for key, (re, im) in acc.items():
+            acc[key] = (re * factor, im * factor)
+    factor = sign * (common // den)
+    for key, (re, im) in nums.items():
+        re *= factor
+        im *= factor
+        old = acc.get(key)
+        if old is not None:
+            re += old[0]
+            im += old[1]
+            if not (re or im):
+                del acc[key]
+                continue
+        acc[key] = (re, im)
+    return common
+
+
 def _hyperbolic_form(nums: dict, den: int, n: int) -> tuple[dict, int]:
-    """The form of (p + bar(p))/n for the form of p, in one pass: each
-    term's bar added to a copy of ``nums`` at the swapped key, once per key,
-    so the terms and their order are those of ``p + p.bar()``."""
+    """The form of (p + bar(p))/n for the form of p, in lowest terms: the
+    bar added into a copy of ``nums``, so the terms and their order are
+    those of ``p + p.bar()``."""
     out = dict(nums)
-    for (a, b, c, d), (re, im) in nums.items():
-        key = (b, a, d, c)
-        acc_re, acc_im = out.get(key, (0, 0))
-        re, im = acc_re + re, acc_im - im
-        if re or im:
-            out[key] = (re, im)
-        else:
-            del out[key]
-    return out, den * n
+    _add_into(out, den, *_bar_form(nums, den), 1, lambda pairs: None)  # one denominator: no rescale
+    g = gcd(den * n, *chain.from_iterable(out.values()))
+    if g > 1:
+        out = {key: (re // g, im // g) for key, (re, im) in out.items()}
+    return out, den * n // g
+
+
+def _real_form(plus: tuple, minus: tuple, charge) -> tuple[dict, int]:
+    """The form of (s + bar(s))/4, s the sum of the forms ``plus`` and
+    ``minus`` taken in a fresh dict; ``charge`` pays its rescale."""
+    nums = dict(plus[0])
+    return _hyperbolic_form(nums, _add_into(nums, plus[1], *minus, 1, charge), 4)
 
 
 def _powers(value: GaussianRational, top: int) -> tuple[list, list]:
@@ -409,7 +450,7 @@ class Poly4:
         return not self.terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return len(self) > 0
 
     def __len__(self):
         """The number of terms, read without building any."""
@@ -462,10 +503,6 @@ class Poly4:
     def __pow__(self, exponent: int) -> "Poly4":
         if not isinstance(exponent, int) or exponent < 0:
             raise ArgumentError("polynomial exponent must be a nonnegative integer")
-        if len(self) == 1:
-            ((k0, k1, k2, k3), coeff), = self.terms.items()
-            power = coeff if _is_unit(coeff) else coeff ** exponent
-            return Poly4._raw({(exponent * k0, exponent * k1, exponent * k2, exponent * k3): power})
         return _poly_of_form(*_pow_form(*_cached_form(self), exponent))
 
     def scale(self, coeff) -> "Poly4":
@@ -607,9 +644,6 @@ class _PartsPoly4(Poly4):
 
     def is_zero(self) -> bool:
         return not self._parts
-
-    def __bool__(self):
-        return bool(self._parts)
 
     def __len__(self):
         return len(self._parts)
@@ -761,7 +795,8 @@ class BicomplexFunction(_Pair):
     def real_part(self) -> "BicomplexFunction":
         """(f + f^dagger + f~ + f^*)/4 -- real-valued, components equal: each
         is (s + bar(s))/4 for s = f_plus + f_minus."""
-        return BicomplexFunction.from_shared(_poly_of_form(*_hyperbolic_form(*_cached_form(self.plus + self.minus), 4)))
+        real = _real_form(_cached_form(self.plus), _cached_form(self.minus), lambda pairs: None)  # no work budget here
+        return BicomplexFunction.from_shared(_poly_of_form(*real))
 
     def real_parts(self) -> tuple["BicomplexFunction", "BicomplexFunction"]:
         return self.hyperbolic_part(), self.real_part()

@@ -28,13 +28,14 @@ from bcpoly import (
 )
 from bcpoly.expr import MAX_NESTING, MAX_TERM_PAIRS, function_from_json_obj, function_to_json_obj, operator_from_json_obj, operator_to_json_obj
 from bcpoly import expr
-from bcpoly.expr import _CANONICAL_TERM, _Budget, _Reader, _read_canonical, _rescale_charge
+from bcpoly.expr import _CANONICAL_TERM, _Budget, _Reader, _factor_bits, _read_canonical
 from bcpoly.operators import Operator, laplacian
 from bcpoly.polyfun import BicomplexFunction, Poly4, _cached_form, _mul_nums, _multinomial_form, _multinomial_pairs
-from bcpoly.polyfun import _poly_of_form, _pow_form
+from bcpoly.polyfun import _poly_of_form, _pow_form, _rescale_charge
 from bcpoly.sampling import Sampler
 
-from strategies import functions, gaussians, monomials
+from reference_poly import ref_pow
+from strategies import fractions_small, functions, gaussians, monomials
 
 from test_polyfun import ALPHA, ALPHA_BAR, BETA, BETA_BAR, cross_term, realizer
 
@@ -96,6 +97,46 @@ def test_a_call_is_charged_the_terms_it_writes():
         written = 0 if name == "dag" else len(value.plus) + len(value.minus)
         rescale = budget.work if name == "rec" else 0
         assert _work(f"{name}({x})") - _work(f"({x})") == written + rescale, name
+
+
+def test_nested_calls_stay_in_lowest_terms():
+    # each hyperbolic pass divides out the gcd of its denominator and
+    # numerators, so nested calls do not grow the denominator, nor the bits
+    # a later power is charged: rehyp(rehyp(rehyp(Z)))^50 pays what
+    # rehyp(Z)^50 pays, and the 8 terms its two extra calls write
+    (plus, plus_den), (minus, minus_den) = _Reader("rehyp(rehyp(Z))", False).read()
+    assert (plus, plus_den) == ({(1, 0, 0, 0): (1, 0), (0, 1, 0, 0): (1, 0)}, 2)
+    assert (minus, minus_den) == ({(0, 0, 1, 0): (1, 0), (0, 0, 0, 1): (1, 0)}, 2)
+    assert _work("rehyp(Z)^50") == 2376
+    assert _work("rehyp(rehyp(rehyp(Z)))^50") == 2376 + 8
+
+
+def _one_term_coeffs():
+    """Unit, real, imaginary and mixed coefficients."""
+    nonzero = fractions_small().filter(bool)
+    units = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1), GaussianRational(0, -1)]
+    return st.one_of(st.sampled_from(units), nonzero.map(GaussianRational), nonzero.map(lambda q: GaussianRational(0, q)),
+                     st.builds(GaussianRational, nonzero, nonzero))
+
+
+@settings(deadline=None)
+@given(monomials(), _one_term_coeffs(), st.integers(0, 40))
+def test_one_term_powers_agree_with_the_reference(key, c, e):
+    # the coefficient's power, the polynomial's and the reader's are one
+    # Gaussian-integer power; the reader charges it only the bits it gains
+    p = Poly4({key: c})
+    expected = ref_pow(p, e)
+    assert list((p ** e).terms.items()) == list(expected.terms.items())
+    assert Poly4.constant(c ** e) == ref_pow(Poly4.constant(c), e)
+    assert Poly4.constant(c ** -e) == ref_pow(Poly4.constant(c.inverse()), e)
+    text = f"({format_poly(p)})^{e}"
+    value = parse(text, raw=True)
+    assert value.plus == value.minus == expected
+    base = _Reader(f"({format_poly(p)})", True)
+    forms = base.read()
+    reader = _Reader(text, True)
+    reader.read()
+    assert reader.work - base.work == sum(e * _factor_bits(*form) for form in forms)
 
 
 def test_parse_realizer_formula():
@@ -724,7 +765,7 @@ def test_mixed_denominators_read_and_print_in_linear_time():
 
 def test_round_trips_calls_and_the_hyperbolic_part_build_no_gaussian_rational(gaussian_rationals_built):
     # readers store coefficient parts, and printers and equality read them;
-    # calls and the hyperbolic part run on the integer form
+    # calls and both real parts run on the integer form
     fn = parse("(Z + 2/3*i)^3 + k*Z^2/5")
     reparsed = parse(format_function(fn), raw=True)
     from_json = function_from_json(function_to_json(reparsed))
@@ -734,6 +775,11 @@ def test_round_trips_calls_and_the_hyperbolic_part_build_no_gaussian_rational(ga
     assert called["dag"] == parse("(dag(Z) + 2/3*i)^3 - k*dag(Z)^2/5")
     assert called["rehyp"] == fn.hyperbolic_part() and called["rehyp"].is_hyperbolic_valued()
     assert called["rec"].plus == called["rec"].minus and called["rec"] != called["star"]
+    # the real parts read the cached forms of their input and leave them as
+    # they were
+    forms = [(dict(nums), den) for nums, den in (_cached_form(fn.plus), _cached_form(fn.minus))]
+    assert fn.real_part() == called["rec"] and fn.hyperbolic_part() == called["rehyp"]
+    assert [_cached_form(fn.plus), _cached_form(fn.minus)] == forms
     assert gaussian_rationals_built == []
 
 
