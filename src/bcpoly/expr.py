@@ -24,12 +24,12 @@ minus signs have no length limit.
 
 The reader makes one pass and builds no syntax tree: each grammar rule
 returns its value as expanded polynomial components, so the expansion runs
-while the text is read.  A power of a sum whose terms share no variable,
-such as a linear form in Z and its conjugates in each component, is
-expanded by the multinomial theorem once that takes fewer steps than
-square-and-multiply; it is charged, before any work, the term pairs
+while the text is read.  A power takes the library's one power kernel:
+from the cube on, a power of a sum whose terms share no variable, such as
+a linear form in Z and its conjugates in each component, is expanded by
+the multinomial theorem and charged, before any work, the term pairs
 square-and-multiply would multiply, so every text is accepted or refused
-alike on either route; a power of one term is charged only the bits its
+as on that route; a power of one term is charged only the bits its
 numbers gain.  A call runs on its argument's integer forms, on the
 library's kernels, and is charged the terms it writes.  The work of a parse
 is bounded by ``MAX_TERM_PAIRS``, past which ``ExprLimitError`` is raised,
@@ -63,7 +63,7 @@ from .bicomplex import _in_lowest_terms, _join_terms, _number_text, _output_limi
 from .operators import Operator
 from .polyfun import BicomplexFunction, Poly4
 from .polyfun import _RESCALE_BITS, _ZERO_MONO, _PartsPoly4, _add_into, _bar_form, _cached_form, _hyperbolic_form, _mul_nums
-from .polyfun import _multinomial_form, _multinomial_pairs, _poly_of_form, _pow_form, _real_form, _rescale_charge
+from .polyfun import _poly_of_form, _pow_form, _real_form, _rescale_charge
 
 __all__ = [
     "ExprSyntaxError",
@@ -93,16 +93,16 @@ MAX_NESTING = 100
 
 # Expansion work of one parse, in term pairs: a product of an m-term and an
 # n-term component counts m*n, as does each multiply inside a power.  Where
-# the multinomial kernel takes a power (of a sum whose terms share no
-# variable), the power counts, before any work, the pairs square-and-multiply
-# would multiply.  A power x^e also counts e times the bits its numbers can
-# gain per factor (log2 of x's denominator and of the sum of |re| + |im|
-# over its numerators), a power of one term only those, and a factor or
-# divisor of a term its bits once the term's coefficient or divisor is past
-# _RESCALE_BITS bits.  A call counts the terms it writes, one pass over its
-# argument.  A sum whose common denominator grows rescales its accumulated
-# terms, two multiplies each against a term pair's four, so each rescale
-# counts half their number, and as much again for each further
+# the multinomial kernel takes a power (from the cube on, of a sum whose
+# terms share no variable), the power counts, before any work, the pairs
+# square-and-multiply would multiply.  A power x^e also counts e times the
+# bits its numbers can gain per factor (log2 of x's denominator and of the
+# sum of |re| + |im| over its numerators), a power of one term only those,
+# and a factor or divisor of a term its bits once the term's coefficient or
+# divisor is past _RESCALE_BITS bits.  A call counts the terms it writes,
+# one pass over its argument.  A sum whose common denominator grows rescales
+# its accumulated terms, two multiplies each against a term pair's four, so
+# each rescale counts half their number, and as much again for each further
 # _RESCALE_BITS bits of the new denominator per 30-bit digit of the
 # rescaling factor: about the bits that a term pair's time multiplies by a
 # one-digit factor (0.35 us a pair against 19 ns per thousand bits, on a
@@ -238,10 +238,6 @@ class _Reader(_Budget):
             limit = sys.get_int_max_str_digits()
             raise self.error(f"integer literal longer than the limit of {limit} digits", index) from None
 
-    def mul(self, a: dict, b: dict) -> dict:
-        self.charge(len(a) * len(b))
-        return _mul_nums(a, b)
-
     def call(self, name: str, plus: tuple, minus: tuple) -> tuple:
         """The components in ``comps`` of the call ``name`` on an argument
         of forms ``plus`` and ``minus``, each charged the terms it writes:
@@ -340,8 +336,11 @@ class _Reader(_Budget):
                 re, im = re * a - im * b, re * b + im * a
             elif not nums:
                 re = im = 0
+            elif multi is None:
+                multi = nums
             elif re or im:
-                multi = nums if multi is None else self.mul(multi, nums)
+                self.charge(len(multi) * len(nums))
+                multi = _mul_nums(multi, nums)
         if not (re or im):
             return {}, 1
         if multi is None:
@@ -364,12 +363,7 @@ class _Reader(_Budget):
         for c in self.comps:
             nums, den = value[c]
             self.charge(exponent * _factor_bits(nums, den))
-            pairs = _multinomial_pairs(nums, exponent)
-            if pairs is None:  # _pow_form charges the pairs it multiplies, none for one term
-                out[c] = _pow_form(nums, den, exponent, self.mul)
-            else:  # charged, before any work, what _pow_form would charge
-                self.charge(pairs)
-                out[c] = _multinomial_form(nums, den, exponent)
+            out[c] = _pow_form(nums, den, exponent, self.charge)
         return tuple(out)
 
     def nested(self, opener: int) -> tuple:

