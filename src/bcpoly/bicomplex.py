@@ -12,10 +12,15 @@ the unit-basis quadruple ``(1, i, j, k)`` are derived views:
 
 All coefficients are Gaussian rationals (exact rational real and imaginary
 parts), so every identity in this package is decided by exact equality.
-A product of two Gaussian rationals, times an optional integer factor, is
-computed on the integer numerators and denominators of their parts: each
-part of the result is one integer numerator over the common denominator of
-the four parts, reduced once.
+The scalar operations run on the integer numerators and denominators of
+the parts, one ``Fraction`` per part of the result, reduced once:
+
+- a product of two Gaussian rationals, times an optional integer factor,
+  is one numerator over the common denominator of the four parts;
+- a sum or difference, division by an int or a ``Fraction``, the inverse,
+  and the Cartesian views ``z1``, ``z2`` and ``from_cartesian`` (times i is
+  a swap of parts) are each one numerator over a product of denominators;
+- negation and conjugation negate a part.
 
 Every printed number goes through one renderer, ``_number_text``, which
 raises ``OutputLimitError`` for a number past Python's int-to-string digit
@@ -180,6 +185,14 @@ def _parts_from_json(data, path: str) -> tuple[int, int, int, int]:
 _FRACTION_ZERO = Fraction(0)
 
 
+def _sum(p: Fraction, q: Fraction, sign: int = 1, k: int = 1) -> Fraction:
+    """(p + sign*q)/k for a sign of 1 or -1 and a nonzero int k, as one
+    numerator over the product of the denominators, reduced once by
+    ``Fraction``."""
+    pd, qd = p.denominator, q.denominator
+    return Fraction(p.numerator * qd + sign * q.numerator * pd, pd * qd * k)
+
+
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts."""
 
@@ -210,10 +223,14 @@ class GaussianRational:
         return self.re * self.re + self.im * self.im
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm2()
-        if n == 0:
+        # 1/(a/b + c/d*i) = (a*b*d^2 - c*d*b^2*i) / (a^2*d^2 + c^2*b^2)
+        re, im = self.re, self.im
+        a, b, c, d = re.numerator, re.denominator, im.numerator, im.denominator
+        ad, cb = a * d, c * b
+        n = ad * ad + cb * cb
+        if not n:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return GaussianRational(Fraction(ad * b * d, n), Fraction(-cb * b * d, n))
 
     # Each operator takes an int, a Fraction or a GaussianRational and leaves
     # any other operand type to that operand's reflected method.
@@ -221,14 +238,14 @@ class GaussianRational:
     def __add__(self, other):
         if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
             return other
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational(_sum(self.re, other.re), _sum(self.im, other.im))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
             return other
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return GaussianRational(_sum(self.re, other.re, -1), _sum(self.im, other.im, -1))
 
     def __rsub__(self, other):
         if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
@@ -241,18 +258,18 @@ class GaussianRational:
     def __mul__(self, other):
         if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
             return other
-        return self._times(other, 1)
+        c, d = other.re, other.im
+        return self._times(c.numerator, c.denominator, d.numerator, d.denominator, 1)
 
     __rmul__ = __mul__
 
-    def _times(self, other: "GaussianRational", k: int) -> "GaussianRational":
-        """k*(a + b*i)(c + d*i) for an int k, on the integer numerators and
-        denominators of the four parts: each part of the product is one
-        numerator over the common denominator ad*bd*cd*dd, reduced once by
-        ``Fraction``."""
-        a, b, c, d = self.re, self.im, other.re, other.im
+    def _times(self, cn: int, cd: int, dn: int, dd: int, k: int) -> "GaussianRational":
+        """k*(a + b*i)(c + d*i) for an int k and c = cn/cd, d = dn/dd in
+        lowest terms, on the integer numerators and denominators of the four
+        parts: each part of the product is one numerator over the common
+        denominator ad*bd*cd*dd, reduced once by ``Fraction``."""
+        a, b = self.re, self.im
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
         den = ad * bd * cd * dd
         p, q = an * cn, bn * dn
         re = Fraction((p * bd * dd - q * ad * cd) * k, den) if p or q else _FRACTION_ZERO
@@ -261,10 +278,12 @@ class GaussianRational:
         return GaussianRational(re, im)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):  # a rational divides each part
-            if not other:
+        if isinstance(other, (int, Fraction)):  # a rational p/q divides each part
+            p, q = other.numerator, other.denominator
+            if not p:
                 raise ZeroDivisionError("inverse of zero Gaussian rational")
-            return GaussianRational(self.re / other, self.im / other)
+            re, im = self.re, self.im
+            return GaussianRational(Fraction(re.numerator * q, re.denominator * p), Fraction(im.numerator * q, im.denominator * p))
         if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
             return other
         return self * other.inverse()
@@ -275,7 +294,7 @@ class GaussianRational:
         return other * self.inverse()
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TypeError("exponent must be an integer")
         if exponent < 0:
             return self.inverse() ** (-exponent)
@@ -414,9 +433,11 @@ class Bicomplex:
 
     @classmethod
     def from_cartesian(cls, z1, z2) -> "Bicomplex":
+        # alpha = z1 - i*z2 and beta = z1 + i*z2, with i*z2 = -z2.im + z2.re*i
         z1 = GaussianRational.coerce(z1)
         z2 = GaussianRational.coerce(z2)
-        return cls(z1 - GR_I * z2, z1 + GR_I * z2)
+        a, b, c, d = z1.re, z1.im, z2.re, z2.im
+        return cls(GaussianRational(_sum(a, d), _sum(b, c, -1)), GaussianRational(_sum(a, d, -1), _sum(b, c)))
 
     @classmethod
     def from_units(cls, a, b=0, c=0, d=0) -> "Bicomplex":
@@ -425,11 +446,15 @@ class Bicomplex:
 
     @property
     def z1(self) -> GaussianRational:
-        return (self.alpha + self.beta) / 2
+        """(alpha + beta)/2."""
+        alpha, beta = self.alpha, self.beta
+        return GaussianRational(_sum(alpha.re, beta.re, 1, 2), _sum(alpha.im, beta.im, 1, 2))
 
     @property
     def z2(self) -> GaussianRational:
-        return GR_I * (self.alpha - self.beta) / 2
+        """i*(alpha - beta)/2, the i a swap of parts."""
+        alpha, beta = self.alpha, self.beta
+        return GaussianRational(_sum(beta.im, alpha.im, -1, 2), _sum(alpha.re, beta.re, -1, 2))
 
     def units(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         z1, z2 = self.z1, self.z2
@@ -468,7 +493,7 @@ class Bicomplex:
         return Bicomplex(self.alpha / divisor, self.beta / divisor)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TypeError("exponent must be an integer")
         if exponent < 0:
             return self.invert() ** (-exponent)

@@ -146,6 +146,6 @@ _LAPLACIANS[7] = _LAPLACIANS[1] + _LAPLACIANS[6]
 def laplacian(index: int) -> Operator:
     """One of the seven second-order operators; index 1 is the privileged
     bicomplex Laplacian (d_alpha d_alpha~, d_beta d_beta~)."""
-    if index not in _LAPLACIANS:
+    if not isinstance(index, int) or isinstance(index, bool) or index not in _LAPLACIANS:
         raise ArgumentError(f"Laplacian index must be 1..7, got {index!r}")
     return _LAPLACIANS[index]

@@ -21,8 +21,10 @@ arithmetic reads the same one, its parts:
   functions and operators) build, and what products of several terms,
   powers and the real parts build through ``_poly_of_form``, the one way
   out of the integer form.  ``terms`` of such a polynomial is built on its
-  first read and cached.  ``==``, ``hash``, ``is_bar_fixed``, the printers and
-  ``_cached_form`` read parts, read off ``terms`` for any other polynomial.
+  first read and cached.  ``==``, ``hash``, ``is_bar_fixed``, the printers,
+  ``_cached_form`` and ``derive``'s reads of the operator read parts, read
+  off ``terms`` for any other polynomial.  So an operator power, stored as
+  parts, is applied without building its terms.
 
 Some maps are structural and do no coefficient arithmetic: a product with
 a one-term factor of coefficient 1 only shifts keys and keeps the other
@@ -392,7 +394,9 @@ def _shifted(terms: dict, single: dict) -> dict:
     ((k0, k1, k2, k3), c), = single.items()
     if _is_unit(c):
         return {(e0 + k0, e1 + k1, e2 + k2, e3 + k3): coeff for (e0, e1, e2, e3), coeff in terms.items()}
-    return {(e0 + k0, e1 + k1, e2 + k2, e3 + k3): coeff._times(c, 1) for (e0, e1, e2, e3), coeff in terms.items()}
+    re, im = c.re, c.im
+    cn, cd, dn, dd = re.numerator, re.denominator, im.numerator, im.denominator
+    return {(e0 + k0, e1 + k1, e2 + k2, e3 + k3): coeff._times(cn, cd, dn, dd, 1) for (e0, e1, e2, e3), coeff in terms.items()}
 
 
 class Poly4:
@@ -495,7 +499,7 @@ class Poly4:
         return _poly_of_form(_mul_nums(a, b), a_den * b_den)
 
     def __pow__(self, exponent: int) -> "Poly4":
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ArgumentError("polynomial exponent must be a nonnegative integer")
         return _poly_of_form(*_pow_form(*_cached_form(self), exponent, _no_charge))
 
@@ -529,18 +533,20 @@ class Poly4:
 
         One pass over the (op term, term) pairs into one dict; a key that
         cancels is deleted, so the terms come in the order of summing the
-        op terms' images one after another with ``+``.
+        op terms' images one after another with ``+``.  The op's
+        coefficients are read as parts, so an op stored as parts (a power)
+        builds no terms.
         """
         out: dict[Monomial, GaussianRational] = {}
         get = out.get
         terms = self.terms.items()
-        for (k0, k1, k2, k3), c in op.terms.items():
+        for (k0, k1, k2, k3), (cn, cd, dn, dd) in op._coeff_parts().items():
             for (e0, e1, e2, e3), coeff in terms:
                 if e0 < k0 or e1 < k1 or e2 < k2 or e3 < k3:
                     continue
                 key = (e0 - k0, e1 - k1, e2 - k2, e3 - k3)
                 factor = perm(e0, k0) * perm(e1, k1) * perm(e2, k2) * perm(e3, k3)
-                term = coeff._times(c, factor)
+                term = coeff._times(cn, cd, dn, dd, factor)
                 acc = get(key)
                 if acc is not None:
                     term = acc + term
@@ -595,7 +601,10 @@ class Poly4:
     def group_by(self, positions: tuple[int, ...]) -> dict[tuple[int, ...], "Poly4"]:
         """Split into coefficient polynomials keyed by the exponents at
         ``positions`` (which are zeroed out in the returned values)."""
-        positions = [_var_index(p, "positions") for p in positions]
+        try:
+            positions = [_var_index(p, "positions") for p in positions]
+        except TypeError:
+            raise ArgumentError(f"positions: expected an iterable of variable indices 0..3, got {positions!r}") from None
         groups: dict[tuple[int, ...], dict[Monomial, GaussianRational]] = {}
         for key, coeff in self.terms.items():
             index = tuple(key[p] for p in positions)

@@ -6,7 +6,9 @@ stdout when it does not succeed.  Each example runs under a stated wall
 bound.  Each verify suite, run once at its default trial count, exits 0 with
 no failures under a stated wall bound.  A variable index passed to
 ``Poly4`` that is not an int in 0..3 is refused with an ``ArgumentError``
-naming the argument."""
+naming the argument, and so is a ``group_by`` positions argument that is
+not iterable.  An exponent of a polynomial, function, operator or scalar
+power, and a Laplacian index, must be an int that is not a bool."""
 
 import contextlib
 import io
@@ -18,7 +20,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from bcpoly import ArgumentError, Bicomplex, BicomplexError, GaussianRational, Poly4, parse_point
+from bcpoly import ArgumentError, Bicomplex, BicomplexError, BicomplexFunction, GaussianRational, Poly4, laplacian, parse_point, wirtinger
 from bcpoly.cli import main
 from bcpoly.expr import function_from_json_obj, operator_from_json_obj
 from bcpoly.verify import SUITE_NAMES
@@ -205,3 +207,36 @@ def test_a_variable_index_in_0_to_3_gives_what_it_gave(var):
     assert Poly4.variable(var).terms == {tuple(int(v == var) for v in range(4)): GaussianRational(1)}
     assert _POLY.degree(var) == max(key[var] for key in _POLY.terms)
     assert Poly4.zero().degree(var) is None
+
+
+def test_group_by_refuses_positions_that_are_not_iterable():
+    for positions in (7, None, 1.5):
+        _raises_naming("positions", _POLY.group_by, positions)
+
+
+# ---- exponents and Laplacian indices: an int that is not a bool
+
+
+@pytest.mark.parametrize("exponent", [True, False])
+def test_a_bool_exponent_is_refused_like_any_other_non_int(exponent):
+    with pytest.raises(ArgumentError, match="nonnegative integer"):
+        _POLY ** exponent
+    with pytest.raises(ArgumentError, match="nonnegative integer"):
+        BicomplexFunction.variable() ** exponent
+    with pytest.raises(ArgumentError, match="nonnegative integer"):
+        wirtinger("Z") ** exponent
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        GaussianRational(2, 1) ** exponent
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        Bicomplex(2, 3) ** exponent
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, 7.0, "1", None, [1], Fraction(1), 0, 8, -1])
+def test_a_laplacian_index_that_is_not_an_int_in_1_to_7_is_refused(index):
+    with pytest.raises(ArgumentError, match="Laplacian index must be 1..7"):
+        laplacian(index)
+
+
+def test_a_laplacian_index_in_1_to_7_gives_its_operator():
+    assert laplacian(1) == wirtinger("Z") * wirtinger("Zstar")
+    assert laplacian(7) == laplacian(1) + laplacian(6)

@@ -4,6 +4,7 @@ and ``BicomplexFunction.evaluate`` against the reference routines of
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -52,7 +53,8 @@ def test_gaussian_product_matches_reference(pair, k):
     if product.im == 0:
         assert hash(product) == hash(product.re)
     # times a falling-factorial factor k, as Poly4.derive multiplies
-    scaled = GaussianRational.coerce(x)._times(GaussianRational.coerce(y), k)
+    y = GaussianRational.coerce(y)
+    scaled = GaussianRational.coerce(x)._times(y.re.numerator, y.re.denominator, y.im.numerator, y.im.denominator, k)
     assert (scaled.re, scaled.im) == (expected.re * k, expected.im * k)
     assert type(scaled.re) is Fraction and type(scaled.im) is Fraction
 
@@ -82,6 +84,41 @@ def test_function_division_by_a_rational_is_the_scale_by_its_inverse(f, divisor)
     for other in (GaussianRational(2), 2.0):
         with pytest.raises(TypeError, match="only defined by rational scalars"):
             f / other
+
+
+def _in_lowest_terms(q) -> bool:
+    return type(q) is Fraction and q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+
+
+@given(gaussian_products(), nonzero_rationals())
+def test_scalar_operations_on_integer_parts_match_fraction_arithmetic(pair, divisor):
+    # each operation the library computes on integer parts against the same
+    # formula in Fraction arithmetic, on zero, small and large parts
+    x, y = (GaussianRational.coerce(v) for v in pair)
+    a, b, c, d = x.re, x.im, y.re, y.im
+    z = Bicomplex(x, y)
+    cases = [
+        (x + y, a + c, b + d),
+        (x - y, a - c, b - d),
+        (-x, -a, -b),
+        (x.conjugate(), a, -b),
+        (x / divisor, a / divisor, b / divisor),
+        (x / int(divisor.numerator), a / divisor.numerator, b / divisor.numerator),
+        (z.z1, (a + c) / 2, (b + d) / 2),  # (alpha + beta)/2
+        (z.z2, -(b - d) / 2, (a - c) / 2),  # i*(alpha - beta)/2
+        (Bicomplex.from_cartesian(x, y).alpha, a + d, b - c),  # x - i*y
+        (Bicomplex.from_cartesian(x, y).beta, a - d, b + c),  # x + i*y
+    ]
+    if not x.is_zero():
+        norm = a * a + b * b
+        cases.append((x.inverse(), a / norm, -b / norm))
+    for got, re, im in cases:
+        assert (got.re, got.im) == (re, im)
+        assert _in_lowest_terms(got.re) and _in_lowest_terms(got.im)
+        expected = GaussianRational(re, im)
+        assert got == expected and hash(got) == hash(expected)
+        if im == 0:
+            assert got == re and hash(got) == hash(re)
 
 
 # few distinct coefficients and low degrees, so that products collide on

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from bcpoly import GaussianRational, Hyperbolic, Operator, laplacian, parse, wirtinger
+from bcpoly.operators import WIRTINGER_KINDS
 from bcpoly.polyfun import BicomplexFunction, Poly4
 
 from strategies import functions, polys
@@ -210,3 +211,30 @@ def test_op_conjugation_follows_the_pair_rule(op):
     assert op.conjugate("dagger_op") == Operator(op.minus, op.plus)
     assert op.conjugate("star_op") == Operator(op.plus.bar(), op.minus.bar())
     assert op.conjugate("tilde_op") == Operator(op.minus.bar(), op.plus.bar())
+
+
+# stored as terms, built before any test's counting starts
+_F = BicomplexFunction(
+    Poly4({(3, 2, 1, 0): GaussianRational(Fraction(1, 2), 3), (2, 3, 0, 1): 2, (0, 1, 2, 3): GaussianRational(0, -1)}),
+    Poly4({(1, 1, 3, 2): Fraction(-2, 3), (3, 0, 2, 2): GaussianRational(1, 1)}),
+)
+
+
+def test_operator_powers_are_applied_from_their_parts(gaussian_rationals_built):
+    # a power is stored as parts; applying it builds what applying the same
+    # operator stored as terms builds (the image's coefficients) and no
+    # term of its own, and nothing at all when the image is zero
+    cases = [(wirtinger(kind), n) for kind in WIRTINGER_KINDS for n in (2, 3)]
+    cases += [(laplacian(1), n) for n in (1, 2)]
+    for op, n in cases:
+        power, as_terms = op ** n, op ** n
+        as_terms = Operator(Poly4(as_terms.plus.terms), Poly4(as_terms.minus.terms))
+        start = len(gaussian_rationals_built)
+        image = power.apply(_F)
+        by_power = len(gaussian_rationals_built) - start
+        start = len(gaussian_rationals_built)
+        assert as_terms.apply(_F) == image and not image.is_zero()
+        assert by_power == len(gaussian_rationals_built) - start > 0
+    start = len(gaussian_rationals_built)
+    assert (wirtinger("Zstar") ** 4).apply(_F).is_zero() and (laplacian(1) ** 4).apply(_F).is_zero()
+    assert len(gaussian_rationals_built) == start

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import perm
 
 import pytest
@@ -115,9 +116,9 @@ def test_wrong_sign_in_operator_products_is_caught(monkeypatch):
     # falling-factorial factor, which Poly4.derive alone makes
     times = GaussianRational._times
 
-    def wrong_sign(self, other, k):
-        right = times(self, other, k)
-        return right if k == 1 else GaussianRational(right.re, k * (self.re * other.im - self.im * other.re))
+    def wrong_sign(self, cn, cd, dn, dd, k):
+        right = times(self, cn, cd, dn, dd, k)
+        return right if k == 1 else GaussianRational(right.re, k * (self.re * Fraction(dn, dd) - self.im * Fraction(cn, cd)))
 
     monkeypatch.setattr(GaussianRational, "_times", wrong_sign)
     _assert_caught(("fn-pointwise",))
